@@ -55,7 +55,7 @@ import os
 import threading
 import time
 from dataclasses import dataclass
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+from http.server import ThreadingHTTPServer
 from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
@@ -63,6 +63,7 @@ from ..core import build_cache
 from ..core.exceptions import InvalidInstanceError
 from ..io import instance_from_dict
 from .scatter import scatter_solve
+from .server import JsonRequestHandler
 from .supervisor import Supervisor, SupervisorConfig
 
 #: Exceptions that mean "the worker did not answer", as opposed to an
@@ -372,56 +373,15 @@ class PlanningRouter(ThreadingHTTPServer):
         }
 
 
-class _RouterHandler(BaseHTTPRequestHandler):
+class _RouterHandler(JsonRequestHandler):
     server: PlanningRouter  # narrowed type
 
-    protocol_version = "HTTP/1.1"
     timeout = 150
-
-    def log_message(self, fmt, *args):  # noqa: A003 - stdlib signature
-        if self.server.config.log_requests:
-            BaseHTTPRequestHandler.log_message(self, fmt, *args)
-
-    def _send_json(
-        self, status: int, body: Dict[str, object],
-        retry_after: Optional[float] = None,
-    ) -> None:
-        blob = json.dumps(body).encode()
-        try:
-            if status >= 400:
-                self.close_connection = True
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(blob)))
-            if retry_after is not None:
-                self.send_header("Retry-After", f"{retry_after:.3f}")
-            self.end_headers()
-            self.wfile.write(blob)
-        except (BrokenPipeError, ConnectionResetError):
-            pass
-
-    def _relay(self, status: int, data: bytes) -> None:
-        """Pass a worker's answer through unchanged."""
-        try:
-            if status >= 400:
-                self.close_connection = True
-            self.send_response(status)
-            self.send_header("Content-Type", "application/json")
-            self.send_header("Content-Length", str(len(data)))
-            self.end_headers()
-            self.wfile.write(data)
-        except (BrokenPipeError, ConnectionResetError):
-            pass
 
     def _send_unavailable(self, detail: str) -> None:
         with self.server._lock:
             self.server.counters["unavailable"] += 1
-        self._send_json(
-            503,
-            {"error": "worker-unavailable", "detail": detail,
-             "retry_after": 1.0},
-            retry_after=1.0,
-        )
+        self._send_error_json(503, "worker-unavailable", detail, retry_after=1.0)
 
     # -- GET -----------------------------------------------------------
     def do_GET(self):  # noqa: N802 - stdlib casing
@@ -434,18 +394,19 @@ class _RouterHandler(BaseHTTPRequestHandler):
             )
         elif self.path == "/readyz":
             if self.server.draining:
-                self._send_json(503, {"error": "draining",
-                                      "detail": "router is draining"})
+                self._send_error_json(503, "draining", "router is draining")
             elif not self.server.supervisor.healthy_workers():
-                self._send_json(503, {"error": "worker-unavailable",
-                                      "detail": "no healthy workers"})
+                self._send_error_json(
+                    503, "worker-unavailable", "no healthy workers"
+                )
             else:
                 self._send_json(200, {"status": "ready"})
         elif self.path == "/stats":
             self._send_json(200, self.server.fleet_stats())
         else:
-            self._send_json(404, {"error": "not-found",
-                                  "detail": f"no such endpoint {self.path!r}"})
+            self._send_error_json(
+                404, "not-found", f"no such endpoint {self.path!r}"
+            )
 
     # -- POST ----------------------------------------------------------
     def do_POST(self):  # noqa: N802 - stdlib casing
@@ -458,8 +419,9 @@ class _RouterHandler(BaseHTTPRequestHandler):
         }
         handler = handlers.get(parts.path)
         if handler is None:
-            self._send_json(404, {"error": "not-found",
-                                  "detail": f"no such endpoint {self.path!r}"})
+            self._send_error_json(
+                404, "not-found", f"no such endpoint {self.path!r}"
+            )
             return
         if parts.path == "/solve" and parts.query:
             params = dict(parse_qsl(parts.query))
@@ -467,11 +429,10 @@ class _RouterHandler(BaseHTTPRequestHandler):
             if scheme == "grid":
                 handler = lambda: self._route_solve_partitioned(params)  # noqa: E731
             elif scheme is not None:
-                self._send_json(
-                    400,
-                    {"error": "bad-envelope",
-                     "detail": f"unknown partition scheme {scheme!r}; "
-                               "only 'grid' is supported"},
+                self._send_error_json(
+                    400, "bad-envelope",
+                    f"unknown partition scheme {scheme!r}; "
+                    "only 'grid' is supported",
                 )
                 return
         with self.server._lock:
@@ -479,17 +440,16 @@ class _RouterHandler(BaseHTTPRequestHandler):
         if self.server.draining:
             with self.server._lock:
                 self.server.counters["draining_rejects"] += 1
-            self._send_json(503, {"error": "draining",
-                                  "detail": "router is draining",
-                                  "retry_after": 1.0}, retry_after=1.0)
+            self._send_error_json(
+                503, "draining", "router is draining", retry_after=1.0
+            )
             return
         try:
             handler()
         except Exception as exc:  # stay-up guarantee, router edition
             try:
-                self._send_json(
-                    500, {"error": "internal",
-                          "detail": f"unexpected {type(exc).__name__}"}
+                self._send_error_json(
+                    500, "internal", f"unexpected {type(exc).__name__}"
                 )
             except Exception:
                 pass
@@ -499,16 +459,15 @@ class _RouterHandler(BaseHTTPRequestHandler):
         try:
             length = int(length_header)
         except (TypeError, ValueError):
-            self._send_json(400, {"error": "bad-envelope",
-                                  "detail": "a valid Content-Length header "
-                                            "is required"})
+            self._send_error_json(
+                400, "bad-envelope", "a valid Content-Length header is required"
+            )
             return None
         if length < 0 or length > self.server.config.max_body_bytes:
-            self._send_json(
-                413,
-                {"error": "payload-too-large",
-                 "detail": f"body of {length} bytes exceeds the "
-                           f"{self.server.config.max_body_bytes}-byte limit"},
+            self._send_error_json(
+                413, "payload-too-large",
+                f"body of {length} bytes exceeds the "
+                f"{self.server.config.max_body_bytes}-byte limit",
             )
             return None
         return self.rfile.read(length)
@@ -551,7 +510,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
                 self.server.record_owner(instance_id, served_by)
         with self.server._lock:
             self.server.counters["proxied"] += 1
-        self._relay(status, data)
+        self._send_json(status, data)
 
     def _route_mutate(self) -> None:
         raw = self._read_body()
@@ -565,9 +524,8 @@ class _RouterHandler(BaseHTTPRequestHandler):
         instance_id = payload["instance_id"]
         worker_id = self.server.owner_of(instance_id)
         if worker_id is None:
-            self._send_json(
-                404, {"error": "not-found",
-                      "detail": f"no instance {instance_id!r}"}
+            self._send_error_json(
+                404, "not-found", f"no instance {instance_id!r}"
             )
             return
         self.server.stamp_seq(instance_id, payload)
@@ -590,7 +548,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
             self.server.forget_owner(instance_id)
         with self.server._lock:
             self.server.counters["proxied"] += 1
-        self._relay(status, data)
+        self._send_json(status, data)
 
     def _route_compact(self) -> None:
         """Maintenance: journal compaction goes to the owning shard.
@@ -608,9 +566,8 @@ class _RouterHandler(BaseHTTPRequestHandler):
         instance_id = payload["instance_id"]
         worker_id = self.server.owner_of(instance_id)
         if worker_id is None:
-            self._send_json(
-                404, {"error": "not-found",
-                      "detail": f"no instance {instance_id!r}"}
+            self._send_error_json(
+                404, "not-found", f"no instance {instance_id!r}"
             )
             return
         if not self.server.supervisor.is_healthy(worker_id):
@@ -629,7 +586,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
             self.server.forget_owner(instance_id)
         with self.server._lock:
             self.server.counters["proxied"] += 1
-        self._relay(status, data)
+        self._send_json(status, data)
 
     def _route_solve(self) -> None:
         raw = self._read_body()
@@ -654,11 +611,9 @@ class _RouterHandler(BaseHTTPRequestHandler):
         try:
             cells = int(params.get("cells", "4"))
         except ValueError:
-            self._send_json(
-                400,
-                {"error": "bad-envelope",
-                 "detail": f"cells must be an integer, got "
-                           f"{params.get('cells')!r}"},
+            self._send_error_json(
+                400, "bad-envelope",
+                f"cells must be an integer, got {params.get('cells')!r}",
             )
             return
         payload = self._parse(raw)
@@ -684,9 +639,8 @@ class _RouterHandler(BaseHTTPRequestHandler):
             instance_id = payload["instance_id"]
             worker_id = self.server.owner_of(instance_id)
             if worker_id is None:
-                self._send_json(
-                    404, {"error": "not-found",
-                          "detail": f"no instance {instance_id!r}"}
+                self._send_error_json(
+                    404, "not-found", f"no instance {instance_id!r}"
                 )
                 return
             if not self.server.supervisor.is_healthy(worker_id):
@@ -705,7 +659,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
                 self.server.forget_owner(instance_id)
             with self.server._lock:
                 self.server.counters["proxied"] += 1
-            self._relay(status, data)
+            self._send_json(status, data)
             return
         # Inline instance: affinity by content fingerprint when it
         # decodes, least-loaded otherwise.
@@ -727,7 +681,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
             return
         with self.server._lock:
             self.server.counters["proxied"] += 1
-        self._relay(status, data)
+        self._send_json(status, data)
 
     def _route_stateless(self, raw: bytes, path: str) -> None:
         worker_id = self.server.pick_least_loaded()
@@ -742,7 +696,7 @@ class _RouterHandler(BaseHTTPRequestHandler):
             return
         with self.server._lock:
             self.server.counters["proxied"] += 1
-        self._relay(status, data)
+        self._send_json(status, data)
 
 
 class LocalCluster:

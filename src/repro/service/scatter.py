@@ -42,9 +42,10 @@ degrades to an ordinary monolithic ``/solve`` proxy.  The client sees
 a slower answer, never a 500.
 
 The 200 body mirrors the worker ``/solve`` response (``status``,
-``utility``, ``schedules``, ``verified``) plus a ``partition`` block
-carrying the cut's shape and the reconciliation counters, so clients
-and benchmarks can see what the scatter actually did.  Quality follows
+``rung``, ``degraded_to``, ``guarantee``, ``utility``, ``schedules``,
+``verified``, ``wall_time_s``) plus a ``partition`` block carrying the
+cut's shape and the reconciliation counters, so clients and benchmarks
+can see what the scatter actually did.  Quality follows
 ``docs/partitioning.md``: the merged plan is Definition-2 feasible but
 only *near* the monolithic utility — callers who need bit-identity must
 not ask for partitioning.
@@ -410,6 +411,11 @@ def scatter_solve(
         raise ScatterError(f"merged plan fails the oracle: {report.summary()}")
     body: Dict[str, object] = {
         "status": "ok",
+        # A merged plan carries no approximation bound, whatever
+        # algorithm solved the cells.
+        "rung": 0,
+        "degraded_to": None,
+        "guarantee": "heuristic",
         "utility": round(float(utility), 6),
         "schedules": {
             str(uid): events for uid, events in sorted(merged.items())

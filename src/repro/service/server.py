@@ -23,8 +23,9 @@ Request path::
   containment, exactly like the sweep harness fallback.
 * Repeated solves of a content-identical instance are warm: the
   decoded instance is swapped for its registered twin in the cross-
-  cell build cache, whose arrays / candidate index / schedule memo the
-  forked child then inherits through copy-on-write.
+  cell build cache, whose arrays and candidate index the parent builds
+  before forking, so the child inherits them through copy-on-write.
+  The schedule memo and replay cache fill in the child and die with it.
 * Every plan is gated by the independent oracle
   (:func:`repro.verify.oracle.verify_schedules`) before it is
   returned; an infeasible plan counts as a rung failure and the next
@@ -58,7 +59,7 @@ import time
 from collections import OrderedDict
 from dataclasses import dataclass
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..algorithms.registry import available_solvers
 from ..core import build_cache
@@ -396,30 +397,40 @@ def make_server(
     return PlanningServer((host, port), config or ServerConfig())
 
 
-class _Handler(BaseHTTPRequestHandler):
-    server: PlanningServer  # narrowed type
+class JsonRequestHandler(BaseHTTPRequestHandler):
+    """Transport shared by the worker and router request handlers.
+
+    HTTP/1.1 keep-alive, request logging gated on the server's
+    ``config.log_requests``, and one reply writer.  A reply leaves as
+    two sends, headers and then body; with Nagle's algorithm on, a
+    kept-alive connection holds the body until the client's delayed ACK
+    of the headers arrives, about 40 ms on Linux.  So
+    ``disable_nagle_algorithm`` has ``StreamRequestHandler.setup`` set
+    ``TCP_NODELAY`` on every accepted socket.
+    """
 
     protocol_version = "HTTP/1.1"
-    #: Socket timeout per request read — an idle or trickling client
-    #: releases its handler thread instead of pinning it forever.
-    timeout = 60
+    disable_nagle_algorithm = True
 
-    # -- plumbing ------------------------------------------------------
     def log_message(self, fmt, *args):  # noqa: A003 - stdlib signature
         if self.server.config.log_requests:
-            BaseHTTPRequestHandler.log_message(self, fmt, *args)
+            super().log_message(fmt, *args)
 
     def _send_json(
-        self, status: int, body: Dict[str, object], retry_after: Optional[float] = None
+        self,
+        status: int,
+        body: Union[Dict[str, object], bytes],
+        retry_after: Optional[float] = None,
     ) -> None:
-        blob = json.dumps(body).encode()
+        """Write one JSON reply; ``bytes`` (a relayed reply) go as-is."""
+        blob = body if isinstance(body, bytes) else json.dumps(body).encode()
         try:
+            self.send_response(status)
             if status >= 400:
                 # Error paths may not have drained the request body
                 # (oversize guard responds before reading); closing the
                 # connection keeps keep-alive framing from desyncing.
-                self.close_connection = True
-            self.send_response(status)
+                self.send_header("Connection", "close")
             self.send_header("Content-Type", "application/json")
             self.send_header("Content-Length", str(len(blob)))
             if retry_after is not None:
@@ -440,6 +451,14 @@ class _Handler(BaseHTTPRequestHandler):
         if retry_after is not None:
             body["retry_after"] = retry_after
         self._send_json(status, body, retry_after=retry_after)
+
+
+class _Handler(JsonRequestHandler):
+    server: PlanningServer  # narrowed type
+
+    #: Socket timeout per request read — an idle or trickling client
+    #: releases its handler thread instead of pinning it forever.
+    timeout = 60
 
     # -- GET endpoints -------------------------------------------------
     def do_GET(self):  # noqa: N802 - stdlib casing

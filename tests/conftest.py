@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import http.client
+import socket
+import statistics
+import time
 from typing import List, Optional, Sequence, Tuple
 
 import pytest
@@ -102,3 +106,57 @@ def tiny_synthetic() -> USEPInstance:
             seed=5,
         )
     )
+
+
+#: Ceiling on the median kept-alive request in the transport tests.  A
+#: reply held back by Nagle's algorithm waits for the client's delayed
+#: ACK, 40 ms at Linux's floor; without the stall a loopback GET takes
+#: about a millisecond.
+KEPT_ALIVE_MEDIAN_LIMIT_S = 0.020
+
+
+def kept_alive_median_s(address, path: str = "/healthz", requests: int = 30) -> float:
+    """Median latency of sequential GETs on one kept-alive connection.
+
+    Every reply must be a 200 over the same socket, so a server that
+    closes between requests cannot pass for a fast kept-alive one.
+    """
+    conn = http.client.HTTPConnection(*address[:2], timeout=30)
+    latencies = []
+    try:
+        conn.connect()
+        sock = conn.sock
+        for _ in range(requests):
+            started = time.perf_counter()
+            conn.request("GET", path)
+            response = conn.getresponse()
+            response.read()
+            latencies.append(time.perf_counter() - started)
+            assert response.status == 200
+            assert conn.sock is sock, "kept-alive connection was closed"
+    finally:
+        conn.close()
+    return statistics.median(latencies)
+
+
+def error_reply_closing(address) -> bytes:
+    """The 404 reply that ends a kept-alive connection.
+
+    Pipelines ``GET /healthz`` and ``GET /nope`` on one connection and
+    reads to the server's EOF: the 200 must keep the connection open
+    for the second request, and the 404 must close it (a server that
+    keeps it open makes the read raise ``socket.timeout``).
+    """
+    received = b""
+    with socket.create_connection(address[:2], timeout=10) as sock:
+        sock.sendall(
+            b"GET /healthz HTTP/1.1\r\nHost: test\r\n\r\n"
+            b"GET /nope HTTP/1.1\r\nHost: test\r\n\r\n"
+        )
+        while True:
+            chunk = sock.recv(65536)
+            if not chunk:
+                break
+            received += chunk
+    assert received.startswith(b"HTTP/1.1 200")
+    return received[received.index(b"HTTP/1.1 404"):]

@@ -34,6 +34,11 @@ from repro.paper_example import build_example_instance
 from repro.service.journal import JOURNAL_SUFFIX, replay_journal
 from repro.service.router import LocalCluster
 from repro.service.supervisor import SupervisorConfig
+from tests.conftest import (
+    KEPT_ALIVE_MEDIAN_LIMIT_S,
+    error_reply_closing,
+    kept_alive_median_s,
+)
 
 pytestmark = pytest.mark.skipif(
     not hasattr(signal, "SIGKILL"), reason="needs POSIX signals"
@@ -138,6 +143,15 @@ class TestFleetBasics:
             assert status == 200
             assert body["instance_id"] == instance_id
             assert body["instance_version"] == 2
+
+    def test_router_kept_alive_requests_do_not_stall(self):
+        """The router's kept-alive replies skip the Nagle stall, and an
+        error reply still closes the connection."""
+        with LocalCluster(workers=1) as cluster:
+            address = cluster.router.server_address
+            median = kept_alive_median_s(address)
+            assert median < KEPT_ALIVE_MEDIAN_LIMIT_S, f"median {median * 1e3:.1f} ms"
+            assert b"\r\nConnection: close\r\n" in error_reply_closing(address)
 
     def test_unknown_instance_is_a_router_404(self, tmp_path):
         with LocalCluster(workers=2) as cluster:
@@ -516,6 +530,36 @@ class TestFleetScatter:
             _, stats = _get(cluster.base_url, "/stats")
             assert stats["router"]["partition_scatters"] == 1
             assert stats["router"]["partition_fallbacks"] == 0
+
+    def test_every_solve_path_shares_the_reply_contract(self, tmp_path):
+        """Inline, by-id and partitioned 200s carry one key set, and a
+        merged plan claims no approximation guarantee."""
+        shared = {
+            "status", "rung", "degraded_to", "guarantee", "utility",
+            "schedules", "verified", "wall_time_s",
+        }
+        _instance, payload = self._clustered()
+        with LocalCluster(workers=2, journal_root=str(tmp_path)) as cluster:
+            _, registered = _post(
+                cluster.base_url, "/instances", {"instance": payload["instance"]}
+            )
+            by_id = {"instance_id": registered["instance_id"], "algorithm": "DeDPO"}
+            replies = {
+                "inline": _post(cluster.base_url, "/solve", payload, timeout=120),
+                "by-id": _post(cluster.base_url, "/solve", by_id, timeout=120),
+                "partitioned": _post(
+                    cluster.base_url, "/solve?partition=grid&cells=4", payload,
+                    timeout=120,
+                ),
+            }
+        for path, (status, body) in replies.items():
+            assert status == 200, path
+            assert shared <= set(body), (path, shared - set(body))
+        merged = replies["partitioned"][1]
+        assert "partition" in merged
+        assert (merged["rung"], merged["degraded_to"], merged["guarantee"]) == (
+            0, None, "heuristic",
+        )
 
     def test_subsolve_answers_a_single_unverified_rung(self, tmp_path):
         _instance, payload = self._clustered()

@@ -29,6 +29,11 @@ from repro.paper_example import build_example_instance
 from repro.service.admission import AdmissionConfig
 from repro.service.server import ServerConfig, make_server
 from repro.verify.oracle import verify_schedules
+from tests.conftest import (
+    KEPT_ALIVE_MEDIAN_LIMIT_S,
+    error_reply_closing,
+    kept_alive_median_s,
+)
 
 
 @pytest.fixture
@@ -103,6 +108,18 @@ class TestEndpoints:
         assert body["error"] == "not-found"
         status, body, _ = _request(server, "/nope", payload={})
         assert status == 404
+
+
+class TestKeptAliveTransport:
+    """Replies on a held connection: no Nagle stall, errors still close."""
+
+    def test_kept_alive_requests_do_not_stall(self, server):
+        median = kept_alive_median_s(server.server_address)
+        assert median < KEPT_ALIVE_MEDIAN_LIMIT_S, f"median {median * 1e3:.1f} ms"
+
+    def test_error_reply_closes_kept_alive_connection(self, server):
+        error = error_reply_closing(server.server_address)
+        assert b"\r\nConnection: close\r\n" in error
 
 
 class TestSolve:

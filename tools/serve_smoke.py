@@ -6,8 +6,12 @@ repro.cli serve``), fires a mixed batch of requests at it over real
 HTTP — valid solves, a warm repeat, malformed JSON, a structurally
 invalid instance, an oversize body, an unknown algorithm, a
 past-deadline request — and asserts the status-code distribution the
-API contract promises.  The final ``/stats`` snapshot is written to
-disk so CI can upload it as an artifact.
+API contract promises.  The batch opens a fresh connection per
+request; a kept-alive phase then sends 30 ``GET /healthz`` and a warm
+repeat solve on one held connection, and fails if the healthz median
+reaches 20 ms (a reply stalled by Nagle's algorithm waits about 40 ms
+for the client's delayed ACK).  The final ``/stats`` snapshot is
+written to disk so CI can upload it as an artifact.
 
 Usage::
 
@@ -17,14 +21,17 @@ Usage::
 from __future__ import annotations
 
 import argparse
+import http.client
 import json
 import os
 import signal
+import statistics
 import subprocess
 import sys
 import time
 import urllib.error
 import urllib.request
+from urllib.parse import urlsplit
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -32,6 +39,8 @@ from repro.io import instance_to_dict  # noqa: E402
 from repro.paper_example import build_example_instance  # noqa: E402
 
 BOOT_TIMEOUT_S = 30
+KEPT_ALIVE_REQUESTS = 30
+KEPT_ALIVE_MEDIAN_LIMIT_S = 0.020
 
 
 def _request(base, path, payload=None, raw_body=None):
@@ -150,6 +159,41 @@ def main(argv=None) -> int:
         for path, want in (("/healthz", 200), ("/readyz", 200)):
             status, _ = _request(base, path)
             check(f"GET {path}", status, want)
+
+        print("kept-alive phase:")
+        parts = urlsplit(base)
+        conn = http.client.HTTPConnection(parts.hostname, parts.port, timeout=60)
+        try:
+            conn.connect()
+            sock = conn.sock
+            latencies = []
+            for _ in range(KEPT_ALIVE_REQUESTS):
+                started = time.perf_counter()
+                conn.request("GET", "/healthz")
+                resp = conn.getresponse()
+                resp.read()
+                latencies.append(time.perf_counter() - started)
+                if resp.status != 200:
+                    failures.append(f"kept-alive GET /healthz got {resp.status}")
+            median = statistics.median(latencies)
+            print(
+                f"  {KEPT_ALIVE_REQUESTS} x GET /healthz median "
+                f"{median * 1e3:.1f} ms (limit {KEPT_ALIVE_MEDIAN_LIMIT_S * 1e3:.0f} ms)"
+            )
+            if median >= KEPT_ALIVE_MEDIAN_LIMIT_S:
+                failures.append("kept-alive GET /healthz median over the limit")
+            conn.request(
+                "POST", "/solve", body=json.dumps(valid).encode(),
+                headers={"Content-Type": "application/json"},
+            )
+            resp = conn.getresponse()
+            body = json.loads(resp.read())
+            check("kept-alive warm repeat solve", resp.status, 200)
+            if resp.status == 200 and not body.get("cache_hit"):
+                failures.append("kept-alive warm repeat missed the build cache")
+            check("kept-alive connection held", conn.sock is sock, True)
+        finally:
+            conn.close()
 
         status, stats = _request(base, "/stats")
         check("GET /stats", status, 200)
