@@ -184,14 +184,13 @@ def _profile_counters(name: str, instance) -> Dict[str, int]:
 
 
 def _profile_counters_cold(name: str, scale: str) -> Dict[str, int]:
-    """Batch-layer diagnostics from a profiled run on a fresh instance.
+    """Engine counters from a profiled run on a fresh instance.
 
     The warm ``profile`` block mostly shows the whole-solve replay
-    cache; the batched Step-1 layer (``repro.algorithms.dp_batch``)
-    only does work on a cold engine, so its counters (``dp_batch_*``,
-    ``dp_arena_bytes_peak``) come from a separate run on a freshly
-    built instance — arrays warmed, engine cold.  The CI perf guard
-    reads this block to assert the batched path keeps covering users.
+    cache; Step 1's real work (memo misses, DP calls and states) only
+    happens on a cold engine, so these counters come from a separate
+    run on a freshly built instance — arrays warmed, engine cold.  The
+    block is diagnostic: no guard reads it.
     """
     from repro.algorithms.base import warm_instance
     from repro.algorithms.registry import make_solver
@@ -497,9 +496,8 @@ def record(
         "description": (
             "Array-kernel solvers (with the incremental scheduling engine — "
             "Lemma 1 candidate index, dirty-set schedule memo, whole-solve "
-            "replay cache — and the batched cross-user DP layer: shape-"
-            "grouped dp_batch kernels over flat arena tables, see "
-            "docs/performance.md) vs their seed reference twins: best-of-N "
+            "replay cache, see docs/performance.md) vs their seed "
+            "reference twins: best-of-N "
             f"wall time without tracemalloc (N = {repeats}, capped per "
             "scale), peak traced memory from a separate run, identical "
             "utilities asserted, every planning verified by the independent "
@@ -508,8 +506,8 @@ def record(
             "abort the recording). Repeats share one warm instance, so "
             "best-of-N times include memo and replay-cache reuse; per-cell "
             "'profile' counters record that warm steady state, "
-            "'profile_cold' records a fresh-instance run (where the batch "
-            "kernel does its work), and 'vs_previous' compares against the "
+            "'profile_cold' records a fresh-instance run (where Step 1 "
+            "does its work), and 'vs_previous' compares against the "
             "replaced ledger."
         ),
         "python": platform.python_version(),

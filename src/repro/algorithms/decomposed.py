@@ -42,9 +42,7 @@ import numpy as np
 from ..core import instrument
 from ..core.instance import USEPInstance
 from ..core.planning import Planning
-from . import dp_batch
 from .base import Solver
-from .dp_batch import Step1Batcher
 from .dp_single import dp_single
 from .greedy_single import greedy_single
 
@@ -216,52 +214,8 @@ class DecomposedSolver(Solver):
                     steal_k[event_id] = k
                     sat_mask[event_id] = True
 
-        # Batched Step 1 (see dp_batch): users whose candidates all keep
-        # a free pseudo-copy see exactly their static view, so their
-        # scheduler calls are deferred and run as shape groups; the
-        # assignments are then replayed in user order — fresh copies at
-        # full utility, never a reassignment — which reproduces the
-        # sequential pool evolution.  A user failing the margin flushes
-        # the batch, is retried against the exact counts, and only then
-        # runs through the scalar scan below.
-        batcher: Optional[Step1Batcher] = None
-        if (
-            index is not None
-            and num_users >= 2
-            and self._single_scheduler is dp_single
-            and not dp_batch.FORCE_PER_USER
-        ):
-            free = np.fromiter(
-                (pool.capacity for pool in pools), dtype=np.intp, count=num_events
-            )
-            batcher = Step1Batcher(
-                instance, engine, memo_kind, self._single_scheduler, free
-            )
-
-        def replay_deferred() -> None:
-            for user_id, schedule in batcher.flush():
-                for event_id in schedule:
-                    pool = pools[event_id]
-                    pool.assign(
-                        pool.next_free, user_id, event_utils[event_id][user_id]
-                    )
-                    batcher.free[event_id] -= 1
-                    if fast_scan:
-                        note_assigned(event_id, pool)
-
         for r in range(num_users):
             scheduler_calls += 1
-            if batcher is not None:
-                if batcher.try_defer(r):
-                    continue
-                if batcher.deferred:
-                    # Flushing releases the pending reservations, which
-                    # may restore the margin; with nothing deferred the
-                    # retry would see the exact same state.
-                    replay_deferred()
-                    if batcher.try_defer(r):
-                        continue
-                batcher.note_scalar_fallback()
             if fast_scan:
                 cands = per_user_np[r]
                 if cands.size:
@@ -297,8 +251,6 @@ class DecomposedSolver(Solver):
                         k = steal_k[event_id]
                         reassignments += 1
                     pool.assign(k, r, event_utils[event_id][r])
-                    if batcher is not None:
-                        batcher.free[event_id] = pool.capacity - pool.next_free
                     note_assigned(event_id, pool)
                 continue
             candidates: List[int] = []
@@ -328,10 +280,6 @@ class DecomposedSolver(Solver):
                 if pool.owners[k] is not None:
                     reassignments += 1
                 pool.assign(k, r, event_utils[event_id][r])
-                if batcher is not None:
-                    batcher.free[event_id] = pool.capacity - pool.next_free
-        if batcher is not None:
-            replay_deferred()
 
         # Step 2 (lines 11-14): each copy goes to its final owner.
         planning = Planning(instance)

@@ -32,9 +32,7 @@ import numpy as np
 from ..core import instrument
 from ..core.instance import USEPInstance
 from ..core.planning import Planning
-from . import dp_batch
 from .base import Solver
-from .dp_batch import Step1Batcher
 from .dp_single import dp_single
 
 
@@ -86,52 +84,9 @@ class DeDP(Solver):
             prof.add("candidates_pruned_lemma1", index.pruned_pairs)
             prof.add("candidates_surviving", index.survivor_pairs)
         memo_hits0, memo_misses0 = engine.memo.hits, engine.memo.misses
-        hat_schedules: List[List[Tuple[int, int]]] = [[] for _ in range(num_users)]
+        hat_schedules: List[List[Tuple[int, int]]] = []
         dp_calls = 0
-
-        # Batched Step 1 (see dp_batch).  ``free`` conservatively counts
-        # untouched tensor rows per event as capacity minus hat pairs
-        # (re-touching a row double-counts, which only under-estimates).
-        # While a user's every candidate keeps an untouched row, the
-        # reduceat best equals mu(v, u) exactly — decrements subtract
-        # positive floats, so touched rows only go down — and the user
-        # sees its static view; its scheduler call is deferred and its
-        # hat pairs are replayed in user order with the argmax copy
-        # resolution run on the live column.
-        batcher = None
-        if (
-            index is not None
-            and total_copies
-            and num_users >= 2
-            and not dp_batch.FORCE_PER_USER
-        ):
-            batcher = Step1Batcher(
-                instance, engine, "dp", dp_single, capacities.copy()
-            )
-
-        def replay_deferred() -> None:
-            for user_id, schedule in batcher.flush():
-                hat: List[Tuple[int, int]] = []
-                if schedule:
-                    column = mu_r[:, user_id]
-                    for event_id in schedule:
-                        lo = offsets_list[event_id]
-                        k = int(np.argmax(column[lo : offsets_list[event_id + 1]]))
-                        hat.append((event_id, k))
-                        row = lo + k
-                        mu_r[row, user_id + 1 :] -= mu_r[row, user_id]
-                        batcher.free[event_id] -= 1
-                hat_schedules[user_id] = hat
-
         for r in range(num_users):
-            dp_calls += 1
-            if batcher is not None:
-                if batcher.try_defer(r):
-                    continue
-                replay_deferred()
-                if batcher.try_defer(r):
-                    continue
-                batcher.note_scalar_fallback()
             if total_copies:
                 column = mu_r[:, r]
                 # Best copy value per event (one reduceat over the whole
@@ -152,6 +107,7 @@ class DeDP(Solver):
             schedule = engine.schedule(
                 "dp", dp_single, r, candidates, utilities, index is not None
             )
+            dp_calls += 1
             hat: List[Tuple[int, int]] = []
             for event_id in schedule:
                 # The chosen copy: ties -> smallest k, exactly the seed's
@@ -166,11 +122,7 @@ class DeDP(Solver):
                 # it is never read again, so we skip the write.)
                 row = lo + k
                 mu_r[row, r + 1 :] -= mu_r[row, r]
-                if batcher is not None:
-                    batcher.free[event_id] -= 1
-            hat_schedules[r] = hat
-        if batcher is not None:
-            replay_deferred()
+            hat_schedules.append(hat)
 
         # Step 2: keep each pseudo-event only in its last schedule.
         planning = Planning(instance)

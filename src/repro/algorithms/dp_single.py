@@ -140,7 +140,7 @@ def dp_single(
     inf = math.inf
     nextafter = math.nextafter
     finite_budget = not math.isinf(budget)
-    # Per-candidate scalars for the shared merge: starting cost, negated
+    # Per-candidate scalars for the frontier merge: starting cost, negated
     # utility and the largest representable cost satisfying the budget
     # check, so the inner loop compares ``T <= thresh`` instead of
     # re-evaluating the seed's ``T + back_i <= budget``.  The
@@ -186,19 +186,16 @@ def run_frontier_merge(
     threshs: Sequence[float],
     stats: Optional[List[int]] = None,
 ) -> List[int]:
-    """The scalar Pareto frontier chase shared by all DP entry points.
+    """The scalar Pareto frontier chase of :func:`dp_single`.
 
     One frontier walk over pre-resolved per-candidate scalars:
     ``bases[i]`` is the home->v_i cost, ``nutils[i]`` the negated
     decomposed utility, ``threshs[i]`` the largest cost passing the
     budget cut (see :func:`dp_single` for how it is pinned with
-    nextafter).  :func:`dp_single` resolves them per call; the batch
-    kernel (:mod:`repro.algorithms.dp_batch`) resolves them vectorised
-    across a whole shape group — both paths then execute *this* loop,
-    so batched and per-user execution are bit-identical by
-    construction, not by parallel maintenance.  The merge stays scalar
-    on purpose (see the module docs: a vectorised variant measured
-    2-5x slower at realistic frontier sizes).
+    nextafter).  :func:`dp_single` is its one caller and resolves the
+    scalars per call.  The merge stays scalar on purpose (see the
+    module docs: a vectorised variant measured 2-5x slower at
+    realistic frontier sizes).
 
     ``stats`` (optional two-element list) accumulates
     ``[states_expanded, states_kept]`` for the profile counters.

@@ -41,8 +41,8 @@ def solve_subinstance(
 
     The worker fleet's ``POST /subsolve`` endpoint and the local
     scatter loop share this: an unmodified registry solver runs on the
-    renumbered cell instance — dp_batch and every other kernel see a
-    perfectly ordinary ``USEPInstance``.
+    renumbered cell instance — every kernel sees a perfectly ordinary
+    ``USEPInstance``.
     """
     if not instance.num_users:
         return {}

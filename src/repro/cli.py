@@ -194,14 +194,9 @@ def _report_profile(rows) -> None:
 
     Sums every :func:`repro.core.instrument.is_profile_key` field over
     the sweep's rows (see ``docs/performance.md`` for how to read
-    them, including the batch-layer counters ``dp_batch_users`` /
-    ``dp_batch_groups`` / ``dp_batch_scalar_users``), plus this
-    process's cross-cell build-cache stats.  High-water-mark counters
-    (``*_peak``, e.g. the arena's ``dp_arena_bytes_peak``) take the
-    max over cells instead of the sum — summing peaks of a shared
-    arena would double-count the same bytes.  Parallel sweeps count
-    only what the workers reported back in rows — each worker's build
-    cache is process-local.
+    them), plus this process's cross-cell build-cache stats.  Parallel
+    sweeps count only what the workers reported back in rows — each
+    worker's build cache is process-local.
     """
     from .core import build_cache, instrument
 
@@ -210,11 +205,8 @@ def _report_profile(rows) -> None:
         bucket = per_solver.setdefault(str(row.get("solver")), {})
         for key, value in row.items():
             if instrument.is_profile_key(key) and isinstance(value, (int, float)):
-                if key.endswith("_peak"):
-                    bucket[key] = max(bucket.get(key, 0), value)
-                else:
-                    bucket[key] = bucket.get(key, 0) + value
-    print("\nprofile (incremental engine counters, summed over cells; *_peak maxed):")
+                bucket[key] = bucket.get(key, 0) + value
+    print("\nprofile (incremental engine counters, summed over cells):")
     for solver in sorted(per_solver):
         counters = per_solver[solver]
         if not counters:

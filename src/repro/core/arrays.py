@@ -29,62 +29,12 @@ make, so array-backed solvers see bit-identical costs.
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, List, Optional, Tuple
 
 import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .instance import USEPInstance
-
-
-class DPArena:
-    """Flat reusable numpy arenas for the batched DP kernels.
-
-    The batch kernel (:mod:`repro.algorithms.dp_batch`) fills a handful
-    of ``(group, candidate)`` tables per flush — outbound/return costs,
-    negated utilities, budget thresholds, flat gather indices.  Naive
-    code would allocate them per call; the arena instead keeps one
-    named buffer per table, grown to the largest shape ever requested
-    and re-sliced on every call, so steady-state batch execution does
-    **no** per-call table allocation.
-
-    Buffers are *not* cleared between calls on purpose (that would cost
-    a memset per table); every kernel must fully overwrite the region
-    it reads.  ``poison()`` exists so tests can fill all slabs with
-    garbage and prove no stale value from a previous user or call leaks
-    into a later frontier.
-    """
-
-    __slots__ = ("_tables", "bytes_peak")
-
-    def __init__(self) -> None:
-        self._tables: Dict[str, np.ndarray] = {}
-        #: Total bytes across all named buffers at their largest; the
-        #: ``dp_arena_bytes_peak`` profile counter reports it.
-        self.bytes_peak = 0
-
-    def table(self, name: str, shape: Tuple[int, ...], dtype) -> np.ndarray:
-        """A ``shape``-sized view of the named buffer (contents undefined)."""
-        want = 1
-        for dim in shape:
-            want *= int(dim)
-        buf = self._tables.get(name)
-        if buf is None or buf.size < want or buf.dtype != np.dtype(dtype):
-            buf = np.empty(max(want, 1), dtype=dtype)
-            self._tables[name] = buf
-            self.bytes_peak = max(
-                self.bytes_peak,
-                sum(b.nbytes for b in self._tables.values()),
-            )
-        return buf[:want].reshape(shape)
-
-    def poison(self) -> None:
-        """Fill every slab with garbage (tests only — see class docs)."""
-        for buf in self._tables.values():
-            if buf.dtype.kind == "f":
-                buf.fill(np.nan)
-            else:
-                buf.fill(-1)
 
 
 class InstanceArrays:
@@ -125,13 +75,11 @@ class InstanceArrays:
         "round_trip",
         "budgets",
         "_engine",
-        "_dp_arena",
     )
 
     def __init__(self, instance: "USEPInstance"):
         self.instance = instance
         self._engine = None
-        self._dp_arena: Optional[DPArena] = None
         self.mu = instance.utility_matrix()
         #: ``(|U|,)`` travel budgets ``b_u`` (O(|U|), kept regardless of
         #: the user-cost caching knob).
@@ -183,13 +131,6 @@ class InstanceArrays:
 
             self._engine = IncrementalEngine(self.instance)
         return self._engine
-
-    def dp_arena(self) -> DPArena:
-        """The instance's shared :class:`DPArena` (built on first use)."""
-        arena = self._dp_arena
-        if arena is None:
-            arena = self._dp_arena = DPArena()
-        return arena
 
     def user_cost_rows(self, user_id: int) -> Tuple[List[float], List[float]]:
         """``(cost(u, ·), cost(·, u))`` rows as plain lists.

@@ -67,19 +67,7 @@ class CandidateIndex:
             ``cost(u,v) + cost(v,u) <= b_u``, sorted by the instance's
             global ``(end, start, id)`` order (``arrays.pos``).
         per_user_np: The same lists as intp arrays (fast gathers for
-            the batch layer's margin checks).
-        shapes: ``shapes[u]`` — the user's candidate *shape*: the
-            survivor list as a tuple, **interned** so every user with
-            the same surviving set shares one tuple object.  The batch
-            kernel groups users by shape (same candidates, same
-            predecessor table, same leg submatrix).
-        static_views: ``static_views[u]`` — the memo :data:`View` the
-            user presents while *untouched*: all survivors, each at its
-            full utility ``mu(v, u)``.  This is exactly the view the
-            Step-1 scan builds for a user none of whose candidate
-            events has run out of free pseudo-copies, so the batch
-            layer can skip the per-candidate scan entirely for such
-            users (see :mod:`repro.algorithms.dp_batch`).
+            the Step-1 scan in :mod:`repro.algorithms.decomposed`).
         positive_pairs: Count of ``mu(v, u) > 0`` pairs.
         pruned_pairs: Positive-utility pairs dropped by Lemma 1 — work
             the per-call filters no longer touch.
@@ -89,12 +77,9 @@ class CandidateIndex:
     __slots__ = (
         "per_user",
         "per_user_np",
-        "shapes",
-        "static_views",
         "positive_pairs",
         "pruned_pairs",
         "survivor_pairs",
-        "_intern",
         "_pos_counts",
     )
 
@@ -102,17 +87,11 @@ class CandidateIndex:
         arrays = instance.arrays()
         num_users = instance.num_users
         num_events = instance.num_events
-        #: shape intern table; persistent so the per-user refresh paths
-        #: (:mod:`repro.core.deltas`) intern into the same map the
-        #: initial build used.
-        self._intern: Dict[Tuple[int, ...], Tuple[int, ...]] = {}
         if not num_users or not num_events or arrays.round_trip is None:
             self.per_user: List[List[int]] = [[] for _ in range(num_users)]
             self.per_user_np: List[np.ndarray] = [
                 np.empty(0, dtype=np.intp) for _ in range(num_users)
             ]
-            self.shapes: List[Tuple[int, ...]] = [()] * num_users
-            self.static_views: List[View] = [((), ())] * num_users
             self.positive_pairs = 0
             self.pruned_pairs = 0
             self.survivor_pairs = 0
@@ -136,30 +115,12 @@ class CandidateIndex:
         self.positive_pairs = int(positive.sum())
         self.survivor_pairs = int(len(slots))
         self.pruned_pairs = self.positive_pairs - self.survivor_pairs
-        # Shape interning + the per-user untouched view.  Utilities come
-        # from the same mu matrix utilities_for_event() reads, so the
-        # static view's floats equal the scan-built view's bit for bit.
-        mu = arrays.mu
-        intern = self._intern
-        self.shapes = []
-        self.static_views = []
-        for user_id, cands in enumerate(self.per_user):
-            key = tuple(cands)
-            shape = intern.setdefault(key, key)
-            self.shapes.append(shape)
-            if cands:
-                utils = tuple(mu[self.per_user_np[user_id], user_id].tolist())
-            else:
-                utils = ()
-            self.static_views.append((shape, utils))
 
     # ------------------------------------------------------------------
     # incremental maintenance (see repro.core.deltas)
     # ------------------------------------------------------------------
-    def _build_row(
-        self, arrays, user_id: int
-    ) -> Tuple[np.ndarray, int, Tuple[int, ...], View]:
-        """One user's survivors/shape/static view from current content.
+    def _build_row(self, arrays, user_id: int) -> Tuple[np.ndarray, int]:
+        """One user's survivors and positive-pair count from current content.
 
         The same elementwise float64 comparisons as the vectorised
         ``__init__`` path, restricted to one row — a refreshed row is
@@ -170,36 +131,27 @@ class CandidateIndex:
         positive_row = mu[order, user_id] > 0.0
         feasible_row = arrays.round_trip[user_id, order] <= arrays.budgets[user_id]
         survivors = order[np.nonzero(positive_row & feasible_row)[0]]
-        key = tuple(survivors.tolist())
-        shape = self._intern.setdefault(key, key)
-        utils = tuple(mu[survivors, user_id].tolist()) if key else ()
-        return survivors, int(positive_row.sum()), shape, (shape, utils)
+        return survivors, int(positive_row.sum())
 
-    def refresh_user(self, arrays, user_id: int) -> bool:
-        """Re-derive one user's row in place; True when the view changed."""
-        survivors, pos_count, shape, view = self._build_row(arrays, user_id)
-        changed = self.static_views[user_id] != view
+    def refresh_user(self, arrays, user_id: int) -> None:
+        """Re-derive one user's row in place."""
+        survivors, pos_count = self._build_row(arrays, user_id)
         self.positive_pairs += pos_count - self._pos_counts[user_id]
-        self.survivor_pairs += len(shape) - len(self.per_user[user_id])
+        self.survivor_pairs += len(survivors) - len(self.per_user[user_id])
         self._pos_counts[user_id] = pos_count
         self.per_user[user_id] = survivors.tolist()
         self.per_user_np[user_id] = survivors
-        self.shapes[user_id] = shape
-        self.static_views[user_id] = view
         self.pruned_pairs = self.positive_pairs - self.survivor_pairs
-        return changed
 
     def append_user(self, arrays) -> None:
         """Add the row of a just-appended user (id ``len(per_user)``)."""
         user_id = len(self.per_user)
-        survivors, pos_count, shape, view = self._build_row(arrays, user_id)
+        survivors, pos_count = self._build_row(arrays, user_id)
         self.per_user.append(survivors.tolist())
         self.per_user_np.append(survivors)
-        self.shapes.append(shape)
-        self.static_views.append(view)
         self._pos_counts.append(pos_count)
         self.positive_pairs += pos_count
-        self.survivor_pairs += len(shape)
+        self.survivor_pairs += len(survivors)
         self.pruned_pairs = self.positive_pairs - self.survivor_pairs
 
     def remove_user(self, user_id: int) -> None:
@@ -209,8 +161,6 @@ class CandidateIndex:
         self.pruned_pairs = self.positive_pairs - self.survivor_pairs
         del self.per_user[user_id]
         del self.per_user_np[user_id]
-        del self.shapes[user_id]
-        del self.static_views[user_id]
         del self._pos_counts[user_id]
 
 
@@ -313,7 +263,6 @@ class IncrementalEngine:
         "memo",
         "_index",
         "_index_built",
-        "shape_cache",
         "_solutions",
         "version",
         "_content_token",
@@ -324,9 +273,6 @@ class IncrementalEngine:
         self.memo = ScheduleMemo()
         self._index: Optional[CandidateIndex] = None
         self._index_built = False
-        #: Batch-kernel setup per candidate shape (see
-        #: :mod:`repro.algorithms.dp_batch`); bounded there.
-        self.shape_cache: Dict[Tuple[int, ...], tuple] = {}
         #: Whole-solve replay cache: ``key -> (schedules, counters)``.
         self._solutions: Dict[tuple, Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...], Dict[str, int]]] = {}
         #: Mutations applied to the instance since this engine was

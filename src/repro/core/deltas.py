@@ -23,10 +23,9 @@ place** while keeping every derived structure consistent:
   *dirty* users, id remapping for drops);
 * the staleness-sensitive caches: the whole-solve replay cache and
   memoised content fingerprint are invalidated via
-  :meth:`IncrementalEngine.note_mutation`, the batch layer's shape
-  cache is cleared on event-set changes (its entries embed event ids
-  and leg submatrices), and the cross-cell build-cache registration is
-  dropped (:func:`repro.core.build_cache.forget`) so the pre-mutation
+  :meth:`IncrementalEngine.note_mutation`, and the cross-cell
+  build-cache registration is dropped
+  (:func:`repro.core.build_cache.forget`) so the pre-mutation
   fingerprint can never adopt the mutated object.
 
 **Dirty users.**  Every mutation reports the exact set of users whose
@@ -401,8 +400,12 @@ def _apply_utility_change(
         if feasible and (old > 0.0 or value > 0.0)
         else frozenset()
     )
-    instance._mu[v, u] = value  # noqa: SLF001 - arrays.mu is a view of _mu
+    instance._mu[v, u] = value  # noqa: SLF001
     arrays, engine, index = _layers(instance)
+    if arrays is not None:
+        # Re-point rather than trust arrays.mu to alias _mu: a deepcopy
+        # or pickle round trip turns the view into a separate array.
+        arrays.mu = instance.utility_matrix()
     if index is not None:
         # Refresh even when clean: the positive-pair diagnostics count
         # mu > 0 cells regardless of feasibility.
@@ -617,9 +620,6 @@ def _apply_add_event(instance: USEPInstance, mutation: AddEvent) -> DeltaReport:
     dirty = _survivor_set(instance, new_id)
     memo_evicted = 0
     if engine is not None:
-        # Shape-cache entries embed event-id tuples, positions and leg
-        # submatrices; the event set changed, so drop them wholesale.
-        engine.shape_cache.clear()
         memo_evicted = engine.memo.evict_users(dirty)
     _commit(instance, engine)
     return DeltaReport(
@@ -661,7 +661,6 @@ def _apply_drop_event(
     index_rebuilt = _rebuild_index(instance, engine)
     memo_evicted = 0
     if engine is not None:
-        engine.shape_cache.clear()
         memo_evicted = engine.memo.evict_users(dirty)
         memo_evicted += engine.memo.remap_dropped_event(v)
     _commit(instance, engine)

@@ -13,12 +13,16 @@ The contracts under test, per the module's own invalidation table:
   dirty users, everyone else memo-hits;
 * **staleness is impossible by construction** — the whole-solve replay
   cache is keyed on the content token and can never replay a
-  pre-mutation planning, the batch shape cache is cleared on event-set
-  changes, and the cross-cell build cache drops its registration so
-  the old fingerprint cannot adopt the mutated object.
+  pre-mutation planning, and the cross-cell build cache drops its
+  registration so the old fingerprint cannot adopt the mutated object;
+* **copies mutate like originals** — a deepcopy or pickle twin of a
+  solved instance re-plans a mutation exactly like the live instance.
 """
 
 from __future__ import annotations
+
+import copy
+import pickle
 
 import numpy as np
 import pytest
@@ -76,7 +80,6 @@ def assert_structurally_fresh(instance):
         assert live_i is cold_i
         return
     assert live_i.per_user == cold_i.per_user
-    assert live_i.static_views == cold_i.static_views
     assert live_i.positive_pairs == cold_i.positive_pairs
     assert live_i.pruned_pairs == cold_i.pruned_pairs
     assert live_i.survivor_pairs == cold_i.survivor_pairs
@@ -196,9 +199,9 @@ class TestDirtySetExactness:
         instance = make_instance()
         index = instance.arrays().engine().index
         apply_mutation(instance, BudgetChange(7, 1e6))  # everything in view
-        view_before = index.static_views[7]
+        view_before = list(index.per_user[7])
         report = apply_mutation(instance, BudgetChange(7, 2e6))
-        assert index.static_views[7] == view_before
+        assert index.per_user[7] == view_before
         assert report.dirty_users == frozenset({7})
 
     def test_utility_change_dirty_iff_feasible_and_positive(self):
@@ -357,9 +360,10 @@ class TestStructuralBitIdentity:
 
 class TestMemoExactness:
     def test_delta_resolve_reruns_only_dirty_users(self):
-        # Uncontended capacities: every user keeps their static view,
-        # so a re-solve after one budget edit misses exactly once (the
-        # dirty user) and memo-hits everyone else.
+        # Uncontended capacities: no pseudo-copy runs out, so every
+        # view holds full utilities and a re-solve after one budget edit
+        # misses exactly once (the dirty user) and memo-hits everyone
+        # else.
         instance = make_instance(mean_capacity=5000, num_users=50)
         engine = instance.arrays().engine()
         make_solver("DeDPO").solve(instance)
@@ -381,7 +385,7 @@ class TestMemoExactness:
 
 
 class TestStalenessImpossibleByConstruction:
-    """Regressions for the replay/shape/build-cache staleness hazards."""
+    """Regressions for the replay/build-cache staleness hazards."""
 
     def test_mutate_then_resolve_never_replays_premutation_planning(self):
         # The whole-solve replay cache is keyed on the content token;
@@ -423,43 +427,6 @@ class TestStalenessImpossibleByConstruction:
         solver.solve(instance)  # same content again: replay, no growth
         assert len(engine._solutions) == stored
 
-    @pytest.mark.parametrize("kind", ["add_event", "drop_event"])
-    def test_shape_cache_cleared_on_event_set_changes(self, kind):
-        # Shape-cache entries embed event ids and leg submatrices; an
-        # event-set change must drop them or the batch kernel replays
-        # predecessor tables of the old event numbering.
-        instance = make_instance(num_users=40)
-        engine = instance.arrays().engine()
-        make_solver("DeDPO").solve(instance)
-        if not engine.shape_cache:
-            pytest.skip("batch layer did not populate the shape cache")
-        if kind == "drop_event":
-            apply_mutation(instance, DropEvent(0))
-        else:
-            apply_mutation(
-                instance,
-                AddEvent(
-                    location=(1.0, 1.0),
-                    capacity=2,
-                    start=0.0,
-                    end=5.0,
-                    utilities=tuple(0.5 for _ in range(instance.num_users)),
-                ),
-            )
-        assert engine.shape_cache == {}
-        assert_delta_matches_cold(instance)
-
-    def test_value_edit_keeps_shape_cache(self):
-        instance = make_instance(num_users=40)
-        engine = instance.arrays().engine()
-        make_solver("DeDPO").solve(instance)
-        if not engine.shape_cache:
-            pytest.skip("batch layer did not populate the shape cache")
-        entries = len(engine.shape_cache)
-        apply_mutation(instance, BudgetChange(0, 0.5))
-        assert len(engine.shape_cache) == entries
-        assert_delta_matches_cold(instance)
-
     def test_build_cache_never_adopts_mutated_object(self):
         # Register the live instance, snapshot its content, mutate it.
         # A later arrival with the *old* content must not be handed the
@@ -486,6 +453,38 @@ class TestStalenessImpossibleByConstruction:
         build_cache.get_or_register(instance)
         assert build_cache.forget(instance) >= 1
         assert build_cache.forget(instance) == 0
+
+
+class TestCopiedInstances:
+    """A deepcopy or pickle round trip gives the twin its own ``_mu``
+    and its own ``arrays.mu``; the second is no longer a view of the
+    first.  A utility edit must still reach both, or the twin's next
+    delta re-solve plans with the old utility."""
+
+    @pytest.mark.parametrize("how", ["deepcopy", "pickle"])
+    def test_utility_edit_on_copy_matches_cold_solve(self, how):
+        instance = generate_instance(
+            SyntheticConfig(
+                seed=3, num_events=10, num_users=40, mean_capacity=3,
+                grid_size=30,
+            )
+        )
+        make_solver("DeDPO").solve(instance)
+        if how == "deepcopy":
+            twin = copy.deepcopy(instance)
+        else:
+            twin = pickle.loads(pickle.dumps(instance))
+        mutation = UtilityChange(event_id=6, user_id=1, utility=0.0)
+        apply_mutation(instance, mutation)
+        apply_mutation(twin, mutation)
+        cold = canonical_planning_bytes(
+            make_solver("DeDPO").solve(cold_twin(instance))
+        )
+        for live in (instance, twin):
+            assert canonical_planning_bytes(
+                make_solver("DeDPO").solve(live)
+            ) == cold
+        assert_structurally_fresh(twin)
 
 
 class TestNoops:

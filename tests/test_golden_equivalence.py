@@ -4,8 +4,9 @@ The array-backed solvers promise *bit-identical plannings* — the same
 schedule for every user, not merely the same total utility — because
 every tie-break of the seed implementations (duplicate DP costs, equal
 pseudo-copy utilities, equal frontier utilities) is reproduced exactly.
-These tests sweep ~20 randomized instances across the generator's
-parameter space and compare schedules pairwise.
+These tests sweep ~40 randomized instances across the generator's
+parameter space, plus a few degenerate shapes, and compare schedules
+pairwise.
 """
 
 import random
@@ -39,8 +40,9 @@ LOCAL_SEARCH_PAIRS = (
     ("DeGreedy+LS", lambda: LocalSearchSolver(DeGreedySeed())),
 )
 
-#: 20 randomized configurations spanning capacity, conflict, budget and
-#: utility-distribution space (seed doubles as the RNG stream id).
+#: 40 randomized configurations spanning capacity, conflict, budget and
+#: utility-distribution space (seed doubles as the RNG stream id), then
+#: degenerate shapes.
 CONFIGS = [
     SyntheticConfig(
         seed=seed,
@@ -53,11 +55,40 @@ CONFIGS = [
         utility_distribution=("uniform", "normal", "power:0.5")[seed % 3],
     )
     for seed in range(100, 120)
+] + [
+    # Normal-distributed capacities (half of this band) next to uniform
+    # ones, at seeds 200-219.
+    SyntheticConfig(
+        seed=seed,
+        num_events=8 + (seed * 3) % 7,
+        num_users=20 + (seed * 7) % 21,
+        mean_capacity=2 + seed % 5,
+        grid_size=20 + (seed * 5) % 30,
+        conflict_ratio=(seed % 4) * 0.2,
+        budget_factor=1.0 + (seed % 3),
+        capacity_distribution=("uniform", "normal")[seed % 2],
+        utility_distribution=("uniform", "normal", "power:0.5")[seed % 3],
+    )
+    for seed in range(200, 220)
+] + [
+    # Degenerate shapes: budgets too small for any round trip (empty
+    # candidate sets), one contended copy per event, two users.
+    SyntheticConfig(seed=300, num_events=10, num_users=24, mean_capacity=3,
+                    grid_size=40, budget_factor=0.01, name="starved-budgets"),
+    SyntheticConfig(seed=301, num_events=6, num_users=40, mean_capacity=1,
+                    grid_size=25, name="single-copy-contended"),
+    SyntheticConfig(seed=302, num_events=9, num_users=2, mean_capacity=4,
+                    grid_size=30, name="two-users"),
+    # One location, huge budgets and capacities: every user shares one
+    # candidate set and no pseudo-copy ever runs out.
+    SyntheticConfig(seed=303, num_events=8, num_users=30, mean_capacity=4000,
+                    capacity_distribution="normal", grid_size=1,
+                    budget_factor=50.0),
 ]
 
 
 def _ids(config):
-    return f"seed{config.seed}"
+    return config.name or f"seed{config.seed}"
 
 
 @pytest.fixture(scope="module", params=CONFIGS, ids=_ids)

@@ -16,12 +16,8 @@ monolithic one or keeps less than 95% of its utility.  The committed
 ``serving_multiworker`` block's scaling efficiency is asserted where
 the recording box had the cores to scale (fleets larger than the
 stamped ``cpu_count`` are hardware-capped, not regressions, and are
-skipped).  A separate guard workload then cold-runs the batched
-Step-1 layer
-(``repro.algorithms.dp_batch``) on an uncontended instance — ample
-capacity, so the free-copy margin holds throughout — and fails when
-the batched path falls back to the scalar loop for more than half the
-users there.
+skipped).  Finally the compacted journal replay must stay 5x faster
+than the uncompacted one at 10k mutations (the recovery floor).
 
 Speedup ratios — kernel time / seed time measured in the **same**
 process on the **same** machine — are what gets compared, never
@@ -83,22 +79,6 @@ def _kernel_times(payload: Dict[str, object]) -> Dict[Tuple[str, str], float]:
 #: cost something) are far outside the slack and stay ratio-guarded.
 ABS_SLACK_S = 0.002
 
-
-#: The batch-coverage guard workload: capacities far above demand (all
-#: clamp to |U|), so every event keeps free pseudo-copies throughout and
-#: the dp_batch margin condition holds for every user — the batched path
-#: must therefore carry the run; heavy scalar fallback here means the
-#: batch layer stopped engaging (a wiring or gating regression), not a
-#: saturated workload.
-GUARD_CONFIG = dict(
-    seed=7,
-    num_events=60,
-    num_users=800,
-    mean_capacity=8000,
-    capacity_distribution="normal",
-    grid_size=60,
-)
-GUARD_SOLVER = "DeDPO"
 
 #: Hard floor on the churn block's delta-vs-cold speedup.  Unlike the
 #: twin ratios this is absolute, not relative to the committed ledger:
@@ -248,38 +228,6 @@ def check_churn(fresh: Dict[str, object]) -> Optional[str]:
     return None
 
 
-def check_batch_coverage() -> Optional[str]:
-    """Cold-run the guard workload; the batched path must cover >50%.
-
-    Returns a failure message, or None when the guard passes.
-    """
-    from repro.algorithms.base import warm_instance
-    from repro.algorithms.registry import make_solver
-    from repro.datagen import SyntheticConfig, generate_instance
-
-    instance = generate_instance(SyntheticConfig(**GUARD_CONFIG))
-    warm_instance(instance)
-    run = make_solver(GUARD_SOLVER).run(instance, profile=True)
-    batched = int(run.counters.get("dp_batch_users", 0))
-    scalar = int(run.counters.get("dp_batch_scalar_users", 0))
-    total = instance.num_users
-    print(
-        f"\nbatch guard [{GUARD_SOLVER}]: {batched}/{total} users through "
-        f"the batch kernel, {scalar} scalar fallbacks"
-    )
-    if scalar * 2 > total:
-        return (
-            f"batched path fell back to scalar for {scalar}/{total} users "
-            "(> 50%) on the uncontended guard workload"
-        )
-    if batched * 2 < total:
-        return (
-            f"batch kernel covered only {batched}/{total} users (< 50%) on "
-            "the uncontended guard workload"
-        )
-    return None
-
-
 def check(
     ledger_path: str,
     out_path: str,
@@ -373,9 +321,6 @@ def check(
     recovery_failure = check_recovery()
     if recovery_failure is not None:
         regressions.append(recovery_failure)
-    coverage_failure = check_batch_coverage()
-    if coverage_failure is not None:
-        regressions.append(coverage_failure)
     if regressions:
         print(
             f"\nperf regression (> {tolerance:.0%} speedup loss vs "
