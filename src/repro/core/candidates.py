@@ -315,6 +315,15 @@ class IncrementalEngine:
         self._content_token = None
         self._solutions.clear()
 
+    def forget_solves(self) -> None:
+        """Empty the schedule memo and the whole-solve replay cache.
+
+        The candidate index stays (it depends on content alone), so the
+        next solve runs Step 1 cold, as in a process that never solved.
+        """
+        self.memo = ScheduleMemo()
+        self._solutions.clear()
+
     @property
     def index(self) -> Optional[CandidateIndex]:
         """The candidate index, built on first use.

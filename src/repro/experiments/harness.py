@@ -157,6 +157,11 @@ def _cell_row(
         )
         return row
     try:
+        # Start every cell cold, as a supervised (forked) one does:
+        # arrays and candidate index built before the clock starts, and
+        # no memo or replay left by the solvers run before this one.
+        build_cache.prepare_build(instance)
+        instance.arrays().engine().forget_solves()
         solver = make_solver(name)
         run = solver.run(
             instance,
@@ -250,8 +255,9 @@ def _run_parallel_cell(task: Tuple[int, int]) -> Dict[str, object]:
         instance = point.build()
         # Cross-cell build cache: cells of the same point land in the
         # same worker with the same fingerprint, so later algorithms
-        # adopt the first build's warm arrays / candidate index / memo
-        # instead of re-deriving them (see docs/performance.md).
+        # adopt the first build's arrays and candidate index instead
+        # of re-deriving them (see docs/performance.md); _cell_row
+        # empties the memo and replay cache they come with.
         instance, cache_hit = build_cache.get_or_register(instance)
     except Exception:
         return _error_rows_for_point(

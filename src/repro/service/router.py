@@ -52,8 +52,14 @@ import hashlib
 import http.client
 import json
 import os
+import queue
+import signal
+import subprocess
+import sys
 import threading
 import time
+import urllib.error
+import urllib.request
 from dataclasses import dataclass
 from http.server import ThreadingHTTPServer
 from typing import Dict, List, Optional, Sequence, Tuple
@@ -64,7 +70,7 @@ from ..core.exceptions import InvalidInstanceError
 from ..io import instance_from_dict
 from .scatter import scatter_solve
 from .server import JsonRequestHandler
-from .supervisor import Supervisor, SupervisorConfig
+from .supervisor import Supervisor, SupervisorConfig, _src_root
 
 #: Exceptions that mean "the worker did not answer", as opposed to an
 #: HTTP error status (which is a worker *answer* and is relayed as-is).
@@ -702,8 +708,9 @@ class _RouterHandler(JsonRequestHandler):
 class LocalCluster:
     """A supervisor + router fleet on localhost, as a context manager.
 
-    The harness the multi-process tests, ``verify/fuzz.py --churn-kill``
-    and the chaos smoke ride on::
+    The harness the multi-process tests and the fleet fuzz modes
+    (``verify/fuzz.py --churn-kill`` / ``--churn-disk``) ride on; the
+    ``tools/`` smokes boot the real daemon through :class:`ServeDaemon`::
 
         with LocalCluster(workers=2, journal_root=tmp) as cluster:
             url = cluster.base_url          # the router
@@ -762,3 +769,125 @@ class LocalCluster:
         pid = handle.proc.pid
         os.kill(pid, sig)
         return pid
+
+
+def request_json(
+    base_url: str,
+    path: str,
+    payload: Optional[Dict[str, object]] = None,
+    raw_body: Optional[bytes] = None,
+    timeout: float = 120.0,
+) -> Tuple[int, Dict[str, object]]:
+    """One request to the service: ``(status, decoded JSON body)``.
+
+    POSTs ``payload`` as JSON (or ``raw_body`` as is) when given, else
+    GETs.  An HTTP error status comes back as a value; a transport
+    failure raises :class:`OSError`.
+    """
+    data = raw_body
+    if data is None and payload is not None:
+        data = json.dumps(payload).encode()
+    headers = {"Content-Type": "application/json"} if data is not None else {}
+    request = urllib.request.Request(base_url + path, data=data, headers=headers)
+    try:
+        with urllib.request.urlopen(request, timeout=timeout) as resp:
+            return resp.status, json.loads(resp.read())
+    except urllib.error.HTTPError as exc:
+        return exc.code, json.loads(exc.read())
+
+
+def wait_journal_degraded(base_url: str) -> Tuple[List[str], Dict[str, object]]:
+    """Poll the fleet's ``/stats`` until the supervisor reports a worker
+    ``journal_degraded`` (it needs a heartbeat to notice) or 30 s pass;
+    returns those worker ids and the last snapshot."""
+    deadline = time.monotonic() + 30.0
+    while True:
+        _status, stats = request_json(base_url, "/stats")
+        degraded = [
+            str(worker["worker_id"])
+            for worker in stats.get("supervisor", [])
+            if worker.get("journal_degraded")
+        ]
+        if degraded or time.monotonic() >= deadline:
+            return degraded, stats
+        time.sleep(0.2)
+
+
+class ServeDaemon:
+    """``repro-usep serve`` as a real subprocess, as a context manager.
+
+    How the ``tools/`` smokes boot the daemon an operator runs::
+
+        with ServeDaemon(["--workers", "2", "--journal-dir", root]) as daemon:
+            status, body = request_json(daemon.base_url, "/readyz")
+        assert daemon.exit_code == 0    # drained cleanly on SIGTERM
+
+    Entering spawns ``python -m repro.cli serve --port 0 <args>`` with
+    ``env`` added to the environment, reads the address from its
+    ``serving on`` line and waits for ``/readyz``; a daemon that exits
+    or stays unready for :attr:`BOOT_TIMEOUT_S` is killed and raises
+    :class:`RuntimeError`.  Its output is drained for its whole life
+    and echoed, each line prefixed ``daemon:``.  Exiting sends one
+    SIGTERM — the drain signal — and records :attr:`exit_code`; a
+    daemon still up after :attr:`DRAIN_TIMEOUT_S` is SIGKILLed (a
+    negative code).
+    """
+
+    BOOT_TIMEOUT_S = 60.0
+    DRAIN_TIMEOUT_S = 60.0
+
+    def __init__(self, args: Sequence[str] = (), env=None):
+        self.args = list(args)
+        self.env = dict(env or {})
+        self.base_url: Optional[str] = None
+        self.exit_code: Optional[int] = None
+
+    def __enter__(self) -> "ServeDaemon":
+        env = dict(os.environ, **self.env)
+        env["PYTHONPATH"] = _src_root() + os.pathsep + env.get("PYTHONPATH", "")
+        self.proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "serve", "--port", "0"]
+            + self.args,
+            stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env,
+        )
+        announced: "queue.Queue[Optional[str]]" = queue.Queue()
+
+        def pump() -> None:
+            for line in self.proc.stdout:
+                line = line.rstrip()
+                print(f"  daemon: {line}", flush=True)
+                if line.startswith("serving on "):
+                    announced.put(line.split("serving on ", 1)[1].strip())
+            announced.put(None)  # end of output: the daemon exited
+
+        self._reader = threading.Thread(target=pump, daemon=True)
+        self._reader.start()
+        deadline = time.monotonic() + self.BOOT_TIMEOUT_S
+        try:
+            try:
+                self.base_url = announced.get(timeout=self.BOOT_TIMEOUT_S)
+            except queue.Empty:
+                raise RuntimeError("daemon did not announce its address") from None
+            if self.base_url is None:
+                raise RuntimeError(f"daemon exited during boot ({self.proc.wait()})")
+            while time.monotonic() < deadline:
+                try:
+                    if request_json(self.base_url, "/readyz", timeout=5)[0] == 200:
+                        return self
+                except OSError:
+                    pass
+                time.sleep(0.05)
+            raise RuntimeError("daemon never became ready")
+        except BaseException:
+            self.proc.kill()
+            self.exit_code = self.proc.wait()
+            raise
+
+    def __exit__(self, *exc_info) -> None:
+        self.proc.send_signal(signal.SIGTERM)
+        try:
+            self.exit_code = self.proc.wait(timeout=self.DRAIN_TIMEOUT_S)
+        except subprocess.TimeoutExpired:
+            self.proc.kill()
+            self.exit_code = self.proc.wait()
+        self._reader.join(timeout=5)

@@ -1,9 +1,10 @@
 """Seeded differential fuzzing of every registry solver.
 
-The harness generates random :class:`~repro.datagen.SyntheticConfig`\\ s
-across the generator's whole distribution space (utility/capacity/budget
-distributions, conflict ratios, budget factors, optional finite travel
-speed), runs **every** registry algorithm on each instance and checks:
+**Static mode** (the default) generates random
+:class:`~repro.datagen.SyntheticConfig`\\ s across the generator's whole
+distribution space (utility/capacity/budget distributions, conflict
+ratios, budget factors, optional finite travel speed), runs **every**
+registry algorithm on each instance and checks:
 
 * every output passes the :mod:`~repro.verify.oracle` (all four
   Definition 2 constraints + ``Omega`` recount);
@@ -13,21 +14,12 @@ speed), runs **every** registry algorithm on each instance and checks:
   Theorem 3's 1/2-approximation bound and the exact optimum is
   capacity-monotone.
 
-On the first failing instance the harness greedily *shrinks* the config
-(fewer events/users, simpler distributions, no conflicts, ...) while the
-failure still reproduces, then dumps a JSON repro — config, findings and
-shrunk config — so ``replay(path)`` reproduces the bug from the file
-alone.  Everything is driven by one seed: same seed, same instances,
-same verdict.
-
 **Churn mode** (``--churn``) fuzzes the dynamic layer instead: each
 stream draws a random instance, warms a solve, then applies a seeded
 random mutation stream (:mod:`repro.core.deltas`) one mutation at a
 time — after every step the delta re-solve is oracle-checked *and*
 bit-compared (canonical planning bytes) against a cold solve of the
-mutated content decoded fresh from JSON.  A failing stream is greedily
-shrunk to a minimal mutation list and dumped as a JSON repro whose
-``mutations`` key :func:`replay` understands.
+mutated content decoded fresh from JSON.
 
 **Churn-kill mode** (``--churn-kill``) is churn mode pointed at a real
 fleet: each stream boots a supervised multi-worker cluster
@@ -37,6 +29,9 @@ owning worker at a seeded mid-stream position.  Every batch must still
 be acknowledged 200 (failover + journal replay + seq dedupe), and the
 recovered instance must match an offline uninterrupted twin bit for
 bit — journal fingerprint, version, and an oracle-checked final solve.
+**Churn-disk mode** (``--churn-disk``) arms a seeded journal disk
+fault instead of the SIGKILL: every batch still 200, replies flip to
+``durable: false``, ``journal_degraded`` surfaces, nobody restarts.
 
 **Partition mode** (``--partition``) fuzzes the spatial-decomposition
 layer (:mod:`repro.core.partition`) under its own quality contract —
@@ -46,7 +41,17 @@ clustered-geography instance is solved monolithically and through
 :func:`~repro.algorithms.partitioned.solve_partitioned` at a seeded
 cell count, and the merged plan must pass the oracle with utility at
 least ``--utility-floor`` (default 0.95) of the monolithic plan.  The
-single-cell degenerate case *is* still held to bit-identity.
+single-cell degenerate case *is* still held to bit-identity.  A cut
+the partitioner refuses passes vacuously; the report counts those.
+
+**One campaign loop runs all five.**  A mode only describes its cases
+(:class:`_Mode`): how one is drawn from the master RNG — a config,
+plus a mutation stream, a kill position, a disk fault or a cell count
+— how it is checked, and how a failing one shrinks (configs greedily,
+streams by delta debugging; fleet cases not at all).  The loop runs
+the time box, stops at the first failing case, shrinks it and dumps
+the whole case as a JSON artifact, from which :func:`replay` re-runs
+the same check in the same mode.  Same seed, same cases, same verdict.
 
 Run it directly::
 
@@ -54,6 +59,7 @@ Run it directly::
     python -m repro.verify.fuzz --time-budget 60 --out fuzz_failure.json
     python -m repro.verify.fuzz --churn --streams 20 --mutations-per-stream 30
     python -m repro.verify.fuzz --churn-kill --streams 3 --workers 2
+    python -m repro.verify.fuzz --churn-disk --streams 3 --workers 2
     python -m repro.verify.fuzz --partition --max-instances 50
 
 The process exits non-zero iff a failure was found (CI uploads the
@@ -133,7 +139,7 @@ class FuzzFinding:
 
 @dataclass
 class FuzzReport:
-    """Outcome of one :func:`run_fuzz` / :func:`run_churn_fuzz` campaign."""
+    """Outcome of one campaign, whatever its mode."""
 
     seed: int
     algorithms: List[str]
@@ -143,36 +149,74 @@ class FuzzReport:
     failing_config: Optional[SyntheticConfig] = None
     shrunk_config: Optional[SyntheticConfig] = None
     repro_path: Optional[str] = None
-    #: ``"static"`` (instance fuzzing), ``"churn"`` (mutation streams),
-    #: ``"churn-kill"`` (mutation streams over HTTP across a worker
-    #: SIGKILL), ``"churn-disk"`` (mutation streams over HTTP with a
-    #: seeded journal disk fault armed) or ``"partition"``
-    #: (partitioned-vs-monolithic differential with a utility-ratio
-    #: floor).  Partition-mode configs are
-    #: :class:`~repro.datagen.clustered.ClusteredConfig`.
+    #: ``"static"``, ``"churn"``, ``"churn-kill"``, ``"churn-disk"`` or
+    #: ``"partition"`` (see the module docstring); partition-mode
+    #: configs are :class:`~repro.datagen.clustered.ClusteredConfig`.
     mode: str = "static"
     failing_mutations: Optional[List[Mutation]] = None
     shrunk_mutations: Optional[List[Mutation]] = None
     partition_cells: Optional[int] = None
     partition_utility_floor: Optional[float] = None
+    #: Churn-kill: the batch the owning worker was SIGKILLed before.
+    kill_index: Optional[int] = None
+    #: Churn-disk: the armed fault, ``kind:after_writes:attempts``.
+    disk_fault: Optional[str] = None
+    #: Cases the layer under test refused, each a vacuous pass
+    #: (partition mode: cuts the partitioner declined).
+    refused: int = 0
 
     @property
     def ok(self) -> bool:
         return not self.findings
 
+    @property
+    def unit(self) -> str:
+        return "streams" if self.mode.startswith("churn") else "instances"
+
     def summary(self) -> str:
-        unit = "streams" if self.mode.startswith("churn") else "instances"
+        refused = (
+            f"; {self.refused} cuts refused" if self.mode == "partition" else ""
+        )
         if self.ok:
             return (
-                f"fuzz ok: {self.instances_run} {unit} x "
+                f"fuzz ok: {self.instances_run} {self.unit} x "
                 f"{len(self.algorithms)} algorithms in {self.elapsed_s:.1f}s "
-                f"(seed {self.seed})"
+                f"(seed {self.seed}{refused})"
             )
         head = self.findings[0]
         return (
-            f"fuzz FAILED after {self.instances_run} {unit} "
-            f"(seed {self.seed}): [{head.kind}] {head.solver}: {head.message}"
+            f"fuzz FAILED after {self.instances_run} {self.unit} "
+            f"(seed {self.seed}{refused}): [{head.kind}] {head.solver}: "
+            f"{head.message}"
         )
+
+
+@dataclass(frozen=True)
+class _Case:
+    """One drawn case: a config plus whatever its mode drew after it.
+    The fields are the artifact's keys (:func:`dump_repro`)."""
+
+    config: object
+    mutations: Optional[List[Mutation]] = None
+    kill_index: Optional[int] = None
+    disk_fault: Optional[str] = None
+    cells: Optional[int] = None
+    #: Drawing the case crashed; the campaign reports it unchecked.
+    error: Optional[FuzzFinding] = None
+
+
+@dataclass(frozen=True)
+class _Mode:
+    """How one campaign mode draws, checks and shrinks its cases.
+
+    ``check`` returns the findings, or ``None`` when the layer under
+    test refused the case (a vacuous pass the report counts);
+    ``shrink`` returns a smaller failing case and its findings.
+    """
+
+    draw: Callable[[random.Random], _Case]
+    check: Callable[[_Case], Optional[List[FuzzFinding]]]
+    shrink: Optional[Callable[[_Case], Tuple[_Case, List[FuzzFinding]]]] = None
 
 
 def default_algorithms() -> List[str]:
@@ -339,6 +383,34 @@ def _shrink_candidates(config: SyntheticConfig) -> List[SyntheticConfig]:
     return out
 
 
+def _greedy_shrink(
+    case: _Case,
+    candidates: Callable[[object], List[object]],
+    check: Callable[[_Case], Optional[List[FuzzFinding]]],
+    max_rounds: int,
+) -> Tuple[_Case, List[FuzzFinding]]:
+    """Greedily shrink a failing case's config while a finding reproduces.
+
+    Each round tries ``candidates(config)`` — strictly simpler one-step
+    variants, most drastic first — and keeps the first whose case still
+    fails; stops at a fixpoint.  Returns the minimal case and its
+    findings.
+    """
+    findings = check(case) or []
+    if not findings:
+        return case, findings  # flaky input; nothing to shrink
+    for _ in range(max_rounds):
+        for config in candidates(case.config):
+            candidate = dataclasses.replace(case, config=config)
+            candidate_findings = check(candidate)
+            if candidate_findings:
+                case, findings = candidate, candidate_findings
+                break
+        else:
+            break  # no simpler config reproduces: minimal
+    return case, findings
+
+
 def shrink_config(
     config: SyntheticConfig,
     algorithms: Sequence[str],
@@ -353,27 +425,11 @@ def shrink_config(
     the first one that still fails; stops at a fixpoint.  Returns the
     minimal config and its findings.
     """
-    current = config
-    findings = fuzz_config(
-        current, algorithms, extra_solvers=extra_solvers, certify=certify
+    mode = _static_mode(algorithms, extra_solvers, certify)
+    case, findings = _greedy_shrink(
+        _Case(config), _shrink_candidates, mode.check, max_rounds
     )
-    if not findings:
-        return current, findings  # flaky input; nothing to shrink
-    for _ in range(max_rounds):
-        for candidate in _shrink_candidates(current):
-            candidate_findings = fuzz_config(
-                candidate,
-                algorithms,
-                extra_solvers=extra_solvers,
-                certify=certify,
-            )
-            if candidate_findings:
-                current = candidate
-                findings = candidate_findings
-                break
-        else:
-            break  # no simpler config reproduces: minimal
-    return current, findings
+    return case.config, findings
 
 
 # ----------------------------------------------------------------------
@@ -475,32 +531,21 @@ def check_churn_stream(
     for solver in solvers.values():  # warm: build index, memo, replay state
         solver.solve(instance)
     for step, mutation in enumerate(mutations):
+        where = f"step {step} ({mutation.kind})"
         try:
             apply_mutation(instance, mutation)
         except InvalidInstanceError:
             continue
         except Exception as exc:  # noqa: BLE001 - the whole point of fuzzing
-            findings.append(
-                FuzzFinding(
-                    "<deltas>",
-                    "churn-crash",
-                    f"step {step} ({mutation.kind}): {type(exc).__name__}: {exc}",
-                )
-            )
-            return findings
+            crash = f"{where}: {type(exc).__name__}: {exc}"
+            return [FuzzFinding("<deltas>", "churn-crash", crash)]
         cold_instance = instance_from_dict(instance_to_dict(instance))
         for name, solver in solvers.items():
             try:
                 delta_planning = solver.solve(instance)
             except Exception as exc:  # noqa: BLE001
-                findings.append(
-                    FuzzFinding(
-                        name,
-                        "churn-crash",
-                        f"step {step} ({mutation.kind}): "
-                        f"{type(exc).__name__}: {exc}",
-                    )
-                )
+                crash = f"{where}: {type(exc).__name__}: {exc}"
+                findings.append(FuzzFinding(name, "churn-crash", crash))
                 continue
             report = verify_planning(instance, delta_planning)
             for violation in report.violations:
@@ -508,7 +553,7 @@ def check_churn_stream(
                     FuzzFinding(
                         name,
                         f"churn-oracle:{violation.constraint}",
-                        f"step {step} ({mutation.kind}): {violation.message}",
+                        f"{where}: {violation.message}",
                     )
                 )
             cold_planning = make_solver(name).solve(cold_instance)
@@ -519,9 +564,8 @@ def check_churn_stream(
                     FuzzFinding(
                         name,
                         "churn-bytes",
-                        f"step {step} ({mutation.kind}): delta planning "
-                        f"diverges from cold solve: {delta_bytes[:160]!r} != "
-                        f"{cold_bytes[:160]!r}",
+                        f"{where}: delta planning diverges from cold solve: "
+                        f"{delta_bytes[:160]!r} != {cold_bytes[:160]!r}",
                     )
                 )
         if findings:
@@ -580,216 +624,127 @@ def shrink_mutations(
     return current, findings
 
 
-def run_churn_fuzz(
-    seed: int = 0,
-    streams: int = 20,
-    mutations_per_stream: int = 30,
-    time_budget_s: Optional[float] = None,
-    algorithms: Optional[Sequence[str]] = None,
-    shrink: bool = True,
-    out_path: Optional[str] = None,
-    progress: bool = False,
-    progress_stream=None,
-) -> FuzzReport:
-    """Run a churn campaign; stop at the first failing stream.
-
-    Each stream is one random config plus one seeded mutation stream,
-    checked by :func:`check_churn_stream`.  ``instances_run`` counts
-    streams.  On failure the stream is shrunk to a minimal mutation
-    list and the JSON repro (with a ``mutations`` key) is dumped for
-    :func:`replay`.
-    """
-    rng = random.Random(seed)
-    algorithms = (
-        list(algorithms) if algorithms is not None else list(CHURN_ALGORITHMS)
-    )
-    stream = progress_stream if progress_stream is not None else sys.stderr
-    report = FuzzReport(seed=seed, algorithms=algorithms, mode="churn")
-    start = time.perf_counter()
-
-    for index in range(streams):
-        if time_budget_s is not None and time.perf_counter() - start > time_budget_s:
-            break
-        config = random_config(rng)
-        try:
-            mutations = generate_churn_stream(config, rng, mutations_per_stream)
-        except Exception as exc:  # noqa: BLE001
-            report.instances_run = index + 1
-            report.findings = [
-                FuzzFinding(
-                    "<churn-gen>", "crash", f"{type(exc).__name__}: {exc}"
-                )
-            ]
-            report.failing_config = config
-            if out_path:
-                dump_repro(report, out_path)
-                report.repro_path = out_path
-            break
-        findings = fuzz_churn(config, mutations, algorithms)
-        report.instances_run = index + 1
-        if findings:
-            report.findings = findings
-            report.failing_config = config
-            report.failing_mutations = list(mutations)
-            if shrink:
-                shrunk, shrunk_findings = shrink_mutations(
-                    config, mutations, algorithms
-                )
-                report.shrunk_mutations = shrunk
-                report.findings = shrunk_findings
-            if out_path:
-                dump_repro(report, out_path)
-                report.repro_path = out_path
-            break
-        if progress and (index + 1) % 5 == 0:
-            print(
-                f"[churn seed={seed}] {index + 1}/{streams} streams clean "
-                f"({time.perf_counter() - start:.1f}s)",
-                file=stream,
-                flush=True,
-            )
-
-    report.elapsed_s = time.perf_counter() - start
-    return report
-
 
 # ----------------------------------------------------------------------
-# churn-kill mode: the churn fuzz pointed at a real fleet, with SIGKILL
+# churn-kill / churn-disk: the churn fuzz pointed at a real fleet
 # ----------------------------------------------------------------------
 
 
-def _post_json(base_url: str, path: str, payload: Mapping[str, object]):
-    """One POST to the fleet; returns (status, body) or raises OSError."""
-    import urllib.error
-    import urllib.request
-
-    request = urllib.request.Request(
-        base_url + path,
-        data=json.dumps(payload).encode(),
-        headers={"Content-Type": "application/json"},
-    )
-    try:
-        with urllib.request.urlopen(request, timeout=120) as resp:
-            return resp.status, json.loads(resp.read())
-    except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
-
-
-def check_churn_kill_stream(
+def check_fleet_stream(
     config: SyntheticConfig,
     mutations: Sequence[Mutation],
-    kill_index: int,
     workers: int = 2,
+    kill_index: Optional[int] = None,
+    disk_fault: Optional[str] = None,
 ) -> List[FuzzFinding]:
-    """One seeded mutation stream through a real fleet, with a SIGKILL.
+    """One seeded mutation stream through a real fleet, across one fault.
 
     Boots a :class:`~repro.service.router.LocalCluster` (router + real
-    worker processes + journals), registers the config's instance,
-    streams the mutations one batch at a time and SIGKILLs the owning
-    worker right before batch ``kill_index``.  The recovery contract
-    under test:
+    worker processes + journals), registers the config's instance and
+    streams the mutations one ``/mutate`` batch at a time.  Every batch
+    must be acknowledged 200 — zero transport errors, zero 5xx — and
+    the instance must still solve by id afterwards.  Exactly one fault
+    is given, and it names the finding kinds and the rest of the
+    contract:
 
-    * every batch (including the one that hit the dying worker) is
-      acknowledged 200 — zero transport errors, zero 5xx;
-    * the journal replays to the exact content an offline twin reaches
-      by applying the same stream (fingerprint + version identical);
-    * the recovered ``instance_id`` still solves, at the twin's
-      version, and the plan passes the oracle against the twin.
+    * ``kill_index`` (``churn-kill-*``): SIGKILL the owning worker right
+      before that batch.  The journal must replay to the content an
+      offline twin reaches by applying the same stream (fingerprint +
+      version), and the final solve must run at the twin's version and
+      pass the oracle against the twin.
+    * ``disk_fault`` (``churn-disk-*``, ``kind:after_writes:attempts``):
+      boot the fleet with it in ``REPRO_DISK_FAULT``, so the owning
+      shard's journal fails mid-churn.  Replies must flip to
+      ``durable: false``, and the supervisor must surface
+      ``journal_degraded`` and restart nobody (docs/serving.md).
     """
     import tempfile
+    from unittest import mock
 
     from ..core import build_cache
     from ..io import instance_from_dict, instance_to_dict, mutation_to_dict
+    from ..service.faults import DISK_FAULT_ENV
     from ..service.journal import JOURNAL_SUFFIX, replay_journal
-    from ..service.router import LocalCluster
+    from ..service.router import LocalCluster, request_json, wait_journal_degraded
     from .oracle import verify_schedules
 
+    if (kill_index is None) == (disk_fault is None):
+        raise ValueError("give exactly one of kill_index and disk_fault")
+    prefix = "churn-kill" if disk_fault is None else "churn-disk"
     findings: List[FuzzFinding] = []
+
+    def find(kind: str, message: str, solver: str = "<fleet>") -> None:
+        findings.append(FuzzFinding(solver, f"{prefix}-{kind}", message))
+
+    def post(url: str, what: str, path: str, payload: Dict[str, object]):
+        """The fleet's 200 reply, or None once a finding says why not."""
+        try:
+            status, body = request_json(url, path, payload)
+        except OSError as exc:
+            find("transport", f"{what}: {type(exc).__name__}: {exc}")
+            return None
+        if status != 200:
+            find("http", f"{what} answered {status}: {body}")
+            return None
+        return body
+
     wire = instance_to_dict(generate_instance(config))
     twin = instance_from_dict(wire)
-
-    with tempfile.TemporaryDirectory(prefix="churn-kill-") as journal_root:
-        with LocalCluster(workers=workers, journal_root=journal_root) as fleet:
+    with tempfile.TemporaryDirectory(prefix=prefix + "-") as journal_root:
+        # Workers inherit the environment, restarted ones included.
+        fault_env = {DISK_FAULT_ENV: disk_fault} if disk_fault else {}
+        with mock.patch.dict(os.environ, fault_env), LocalCluster(
+            workers=workers, journal_root=journal_root
+        ) as fleet:
             url = fleet.base_url
-            try:
-                status, body = _post_json(url, "/instances", {"instance": wire})
-            except OSError as exc:
-                return [
-                    FuzzFinding(
-                        "<fleet>", "churn-kill-transport",
-                        f"registration: {type(exc).__name__}: {exc}",
-                    )
-                ]
-            if status != 200:
-                return [
-                    FuzzFinding(
-                        "<fleet>", "churn-kill-http",
-                        f"registration answered {status}: {body}",
-                    )
-                ]
+            body = post(url, "registration", "/instances", {"instance": wire})
+            if body is None:
+                return findings
             instance_id = body["instance_id"]
             shard = instance_id.split("-inst-")[0]
+            non_durable = 0
             for step, mutation in enumerate(mutations):
                 if step == kill_index:
                     fleet.kill_worker(shard)
                 try:
                     apply_mutation(twin, mutation)
                 except InvalidInstanceError:
-                    continue  # the fleet will 400 it identically below
-                try:
-                    status, body = _post_json(
-                        url, "/mutate",
-                        {"instance_id": instance_id,
-                         "mutations": [mutation_to_dict(mutation)]},
-                    )
-                except OSError as exc:
-                    findings.append(
-                        FuzzFinding(
-                            "<fleet>", "churn-kill-transport",
-                            f"step {step} ({mutation.kind}): "
-                            f"{type(exc).__name__}: {exc}",
-                        )
-                    )
-                    return findings
-                if status != 200:
-                    findings.append(
-                        FuzzFinding(
-                            "<fleet>", "churn-kill-http",
-                            f"step {step} ({mutation.kind}) answered "
-                            f"{status}: {body}",
-                        )
-                    )
-                    return findings
-            try:
-                status, solved = _post_json(
-                    url, "/solve",
-                    {"instance_id": instance_id, "algorithm": "DeDP",
-                     "deadline_s": 30},
+                    continue  # invalid here (a hand-cut stream): never sent
+                body = post(
+                    url, f"step {step} ({mutation.kind})", "/mutate",
+                    {"instance_id": instance_id,
+                     "mutations": [mutation_to_dict(mutation)]},
                 )
-            except OSError as exc:
-                return findings + [
-                    FuzzFinding(
-                        "<fleet>", "churn-kill-transport",
-                        f"final solve: {type(exc).__name__}: {exc}",
-                    )
-                ]
-            if status != 200:
-                findings.append(
-                    FuzzFinding(
-                        "<fleet>", "churn-kill-http",
-                        f"final solve answered {status}: {solved}",
-                    )
-                )
-            else:
+                if body is None:
+                    return findings
+                non_durable += body.get("durable") is False
+
+            if disk_fault is not None:
+                if not non_durable:
+                    find("silent", f"fault {disk_fault} never surfaced as "
+                         f"durable=false over {len(mutations)} batches")
+                degraded, stats = wait_journal_degraded(url)
+                if not degraded:
+                    find("silent", "supervisor never surfaced journal_degraded")
+                for worker in stats.get("supervisor", []):
+                    if worker.get("restarts"):
+                        find("restart", f"worker {worker['worker_id']} restarted "
+                             f"{worker['restarts']}x for a disk fault")
+            solved = post(
+                url, "final solve", "/solve",
+                {"instance_id": instance_id, "algorithm": "DeDP",
+                 "deadline_s": 30 if disk_fault is None else 60},
+            )
+            if disk_fault is not None:
+                if solved is not None and solved.get("status") != "ok":
+                    find("http", f"final solve answered {solved.get('status')}")
+                return findings
+
+            if solved is not None:
                 if solved.get("instance_version") != twin.version:
-                    findings.append(
-                        FuzzFinding(
-                            "<fleet>", "churn-kill-version",
-                            f"recovered instance solved at version "
-                            f"{solved.get('instance_version')}, twin is at "
-                            f"{twin.version}",
-                        )
-                    )
+                    find("version", "recovered instance solved at version "
+                         f"{solved.get('instance_version')}, twin is at "
+                         f"{twin.version}")
                 report = verify_schedules(
                     twin,
                     {int(uid): evs
@@ -797,339 +752,23 @@ def check_churn_kill_stream(
                     reported_utility=solved.get("utility"),
                 )
                 if not report.ok:
-                    findings.append(
-                        FuzzFinding(
-                            "<fleet>", "churn-kill-oracle",
-                            f"recovered plan fails the oracle against the "
-                            f"twin: {report.summary()}",
-                        )
-                    )
-            journal = os.path.join(
-                journal_root, shard, instance_id + JOURNAL_SUFFIX
-            )
+                    find("oracle", "recovered plan fails the oracle against "
+                         f"the twin: {report.summary()}")
+            journal = os.path.join(journal_root, shard, instance_id + JOURNAL_SUFFIX)
             try:
-                recovered = replay_journal(journal)
+                recovered = replay_journal(journal).instance
             except Exception as exc:  # noqa: BLE001 - any failure is a finding
-                findings.append(
-                    FuzzFinding(
-                        "<journal>", "churn-kill-journal",
-                        f"{type(exc).__name__}: {exc}",
-                    )
-                )
+                find("journal", f"{type(exc).__name__}: {exc}", "<journal>")
                 return findings
-            if recovered.instance.version != twin.version:
-                findings.append(
-                    FuzzFinding(
-                        "<journal>", "churn-kill-version",
-                        f"journal replays to version "
-                        f"{recovered.instance.version}, twin is at "
-                        f"{twin.version}",
-                    )
-                )
+            if recovered.version != twin.version:
+                find("version", f"journal replays to version {recovered.version}, "
+                     f"twin is at {twin.version}", "<journal>")
             twin_fp = build_cache.instance_fingerprint(twin)
-            replay_fp = build_cache.instance_fingerprint(recovered.instance)
+            replay_fp = build_cache.instance_fingerprint(recovered)
             if twin_fp != replay_fp:
-                findings.append(
-                    FuzzFinding(
-                        "<journal>", "churn-kill-fingerprint",
-                        f"journal replay fingerprint {replay_fp!r} != "
-                        f"offline twin {twin_fp!r}",
-                    )
-                )
+                find("fingerprint", f"journal replay fingerprint {replay_fp!r} "
+                     f"!= offline twin {twin_fp!r}", "<journal>")
     return findings
-
-
-def run_churn_kill_fuzz(
-    seed: int = 0,
-    streams: int = 3,
-    mutations_per_stream: int = 20,
-    workers: int = 2,
-    time_budget_s: Optional[float] = None,
-    out_path: Optional[str] = None,
-    progress: bool = False,
-    progress_stream=None,
-) -> FuzzReport:
-    """Churn fuzzing across a worker SIGKILL; stop at the first failure.
-
-    Each stream kills the shard worker at a seeded position in the
-    mutation stream and asserts full recovery (see
-    :func:`check_churn_kill_stream`).  Streams are expensive — each
-    boots a real fleet — so the default count is small; CI's chaos job
-    runs this mode, not the tier-1 suite.  No shrinking: the failure is
-    process-level, the repro JSON records the config, stream and kill
-    position for manual replay.
-    """
-    rng = random.Random(seed)
-    stream_out = progress_stream if progress_stream is not None else sys.stderr
-    report = FuzzReport(
-        seed=seed, algorithms=["DeDP"], mode="churn-kill"
-    )
-    start = time.perf_counter()
-    for index in range(streams):
-        if time_budget_s is not None and time.perf_counter() - start > time_budget_s:
-            break
-        config = random_config(rng)
-        try:
-            mutations = generate_churn_stream(config, rng, mutations_per_stream)
-        except Exception as exc:  # noqa: BLE001
-            report.instances_run = index + 1
-            report.findings = [
-                FuzzFinding("<churn-gen>", "crash", f"{type(exc).__name__}: {exc}")
-            ]
-            report.failing_config = config
-            break
-        kill_index = rng.randrange(max(1, len(mutations)))
-        findings = check_churn_kill_stream(
-            config, mutations, kill_index, workers=workers
-        )
-        report.instances_run = index + 1
-        if findings:
-            report.findings = findings
-            report.failing_config = config
-            report.failing_mutations = list(mutations)
-            break
-        if progress:
-            print(
-                f"[churn-kill seed={seed}] stream {index + 1}/{streams} "
-                f"survived a kill at step {kill_index} "
-                f"({time.perf_counter() - start:.1f}s)",
-                file=stream_out,
-                flush=True,
-            )
-    if report.findings and out_path:
-        dump_repro(report, out_path)
-        report.repro_path = out_path
-    report.elapsed_s = time.perf_counter() - start
-    return report
-
-
-# ----------------------------------------------------------------------
-# churn-disk mode: mutation streams over a fleet with a seeded disk fault
-# ----------------------------------------------------------------------
-
-
-def check_churn_disk_stream(
-    config: SyntheticConfig,
-    mutations: Sequence[Mutation],
-    disk_fault,
-    workers: int = 2,
-) -> List[FuzzFinding]:
-    """One seeded mutation stream with a seeded disk fault armed.
-
-    The whole fleet boots with ``REPRO_DISK_FAULT`` in its environment
-    (:func:`repro.service.faults.install_disk_from_env` arms it at
-    worker start), so the owning shard's journal fails mid-churn.  The
-    degradation contract under test (docs/serving.md):
-
-    * every batch is still acknowledged 200 — zero transport errors,
-      zero 5xx, before and after the disk "fails";
-    * once the fault fires, mutation replies flip to ``durable: false``;
-    * the supervisor surfaces ``journal_degraded`` for some worker and
-      restarts **nobody** — a disk fault degrades, never kills;
-    * the instance still solves from memory afterwards.
-    """
-    import tempfile
-    import urllib.request
-
-    from ..io import instance_to_dict, mutation_to_dict
-    from ..service.faults import DISK_FAULT_ENV
-    from ..service.router import LocalCluster
-
-    findings: List[FuzzFinding] = []
-    wire = instance_to_dict(generate_instance(config))
-    fault_text = f"{disk_fault.kind}:{disk_fault.after_writes}"
-    previous = os.environ.get(DISK_FAULT_ENV)
-    os.environ[DISK_FAULT_ENV] = fault_text
-    try:
-        with tempfile.TemporaryDirectory(prefix="churn-disk-") as journal_root:
-            with LocalCluster(
-                workers=workers, journal_root=journal_root
-            ) as fleet:
-                url = fleet.base_url
-                try:
-                    status, body = _post_json(
-                        url, "/instances", {"instance": wire}
-                    )
-                except OSError as exc:
-                    return [
-                        FuzzFinding(
-                            "<fleet>", "churn-disk-transport",
-                            f"registration: {type(exc).__name__}: {exc}",
-                        )
-                    ]
-                if status != 200:
-                    return [
-                        FuzzFinding(
-                            "<fleet>", "churn-disk-http",
-                            f"registration -> {status}: {body}",
-                        )
-                    ]
-                instance_id = body["instance_id"]
-                non_durable = 0
-                for index, mutation in enumerate(mutations):
-                    try:
-                        status, body = _post_json(
-                            url, "/mutate",
-                            {
-                                "instance_id": instance_id,
-                                "mutations": [mutation_to_dict(mutation)],
-                            },
-                        )
-                    except OSError as exc:
-                        findings.append(
-                            FuzzFinding(
-                                "<fleet>", "churn-disk-transport",
-                                f"batch {index} [{fault_text}]: "
-                                f"{type(exc).__name__}: {exc}",
-                            )
-                        )
-                        return findings
-                    if status != 200:
-                        findings.append(
-                            FuzzFinding(
-                                "<fleet>", "churn-disk-http",
-                                f"batch {index} [{fault_text}] -> "
-                                f"{status}: {body}",
-                            )
-                        )
-                        return findings
-                    if body.get("durable") is False:
-                        non_durable += 1
-                if non_durable == 0:
-                    findings.append(
-                        FuzzFinding(
-                            "<fleet>", "churn-disk-silent",
-                            f"fault {fault_text} never surfaced as "
-                            f"durable=false over {len(mutations)} batches",
-                        )
-                    )
-                # The supervisor needs a heartbeat to observe it.
-                degraded: List[str] = []
-                deadline = time.perf_counter() + 30.0
-                while time.perf_counter() < deadline and not degraded:
-                    with urllib.request.urlopen(
-                        url + "/stats", timeout=30
-                    ) as resp:
-                        stats = json.loads(resp.read())
-                    degraded = [
-                        str(worker["worker_id"])
-                        for worker in stats.get("supervisor", [])
-                        if worker.get("journal_degraded")
-                    ]
-                    if not degraded:
-                        time.sleep(0.2)
-                if not degraded:
-                    findings.append(
-                        FuzzFinding(
-                            "<fleet>", "churn-disk-silent",
-                            "supervisor never surfaced journal_degraded",
-                        )
-                    )
-                for worker in stats.get("supervisor", []):
-                    if worker.get("restarts"):
-                        findings.append(
-                            FuzzFinding(
-                                "<fleet>", "churn-disk-restart",
-                                f"worker {worker['worker_id']} restarted "
-                                f"{worker['restarts']}x for a disk fault",
-                            )
-                        )
-                try:
-                    status, solved = _post_json(
-                        url, "/solve",
-                        {"instance_id": instance_id, "algorithm": "DeDP",
-                         "deadline_s": 60},
-                    )
-                except OSError as exc:
-                    findings.append(
-                        FuzzFinding(
-                            "<fleet>", "churn-disk-transport",
-                            f"post-degradation solve: "
-                            f"{type(exc).__name__}: {exc}",
-                        )
-                    )
-                    return findings
-                if status != 200 or solved.get("status") != "ok":
-                    findings.append(
-                        FuzzFinding(
-                            "<fleet>", "churn-disk-http",
-                            f"post-degradation solve -> {status}: "
-                            f"{solved.get('error', solved.get('status'))}",
-                        )
-                    )
-    finally:
-        if previous is None:
-            os.environ.pop(DISK_FAULT_ENV, None)
-        else:
-            os.environ[DISK_FAULT_ENV] = previous
-    return findings
-
-
-def run_churn_disk_fuzz(
-    seed: int = 0,
-    streams: int = 3,
-    mutations_per_stream: int = 20,
-    workers: int = 2,
-    time_budget_s: Optional[float] = None,
-    out_path: Optional[str] = None,
-    progress: bool = False,
-    progress_stream=None,
-) -> FuzzReport:
-    """Churn fuzzing with a seeded disk fault instead of a SIGKILL.
-
-    Each stream draws its own :class:`~repro.service.faults.DiskFaultSpec`
-    via ``DiskFaultSpec.random`` — same master seed, same fault kinds
-    and arming positions — and asserts the degradation contract (see
-    :func:`check_churn_disk_stream`).  Like churn-kill, streams boot a
-    real fleet, so the default count is small and CI's chaos job owns
-    this mode.
-    """
-    from ..service.faults import DiskFaultSpec
-
-    rng = random.Random(seed)
-    stream_out = progress_stream if progress_stream is not None else sys.stderr
-    report = FuzzReport(seed=seed, algorithms=["DeDP"], mode="churn-disk")
-    start = time.perf_counter()
-    for index in range(streams):
-        if time_budget_s is not None and time.perf_counter() - start > time_budget_s:
-            break
-        config = random_config(rng)
-        try:
-            mutations = generate_churn_stream(config, rng, mutations_per_stream)
-        except Exception as exc:  # noqa: BLE001
-            report.instances_run = index + 1
-            report.findings = [
-                FuzzFinding("<churn-gen>", "crash", f"{type(exc).__name__}: {exc}")
-            ]
-            report.failing_config = config
-            break
-        # after_writes < 1 header + len(mutations) records => always fires
-        disk_fault = DiskFaultSpec.random(
-            rng.randrange(1 << 30), max_after=max(1, len(mutations))
-        )
-        findings = check_churn_disk_stream(
-            config, mutations, disk_fault, workers=workers
-        )
-        report.instances_run = index + 1
-        if findings:
-            report.findings = findings
-            report.failing_config = config
-            report.failing_mutations = list(mutations)
-            break
-        if progress:
-            print(
-                f"[churn-disk seed={seed}] stream {index + 1}/{streams} "
-                f"survived {disk_fault.kind} after "
-                f"{disk_fault.after_writes} writes "
-                f"({time.perf_counter() - start:.1f}s)",
-                file=stream_out,
-                flush=True,
-            )
-    if report.findings and out_path:
-        dump_repro(report, out_path)
-        report.repro_path = out_path
-    report.elapsed_s = time.perf_counter() - start
-    return report
 
 
 # ----------------------------------------------------------------------
@@ -1138,8 +777,8 @@ def run_churn_disk_fuzz(
 
 #: Default quality floor of the partition differential: the merged plan
 #: must reach this fraction of the monolithic utility.  Matches the
-#: guard in ``benchmarks/check_bench_regression.py`` and the contract
-#: in ``docs/partitioning.md``.
+#: guard in ``tools/check_bench_regression.py`` and the contract in
+#: ``docs/partitioning.md``.
 PARTITION_UTILITY_FLOOR = 0.95
 
 #: Cell counts the partition campaign cycles through (seeded draw per
@@ -1185,7 +824,7 @@ def check_partition(
     cells: int,
     algorithm: str = "DeDPO",
     utility_floor: float = PARTITION_UTILITY_FLOOR,
-) -> List[FuzzFinding]:
+) -> Optional[List[FuzzFinding]]:
     """Differential-check one clustered config at one cell count.
 
     Three checks, in the partition layer's quality regime (see
@@ -1193,7 +832,8 @@ def check_partition(
     oracle; its utility reaches ``utility_floor`` of the monolithic
     plan's; and when the cut degenerates to a single cell, the merged
     plan is *byte-identical* to the monolithic one (the only case where
-    the old bit-identity contract still applies).
+    the old bit-identity contract still applies).  Returns ``None``
+    when the partitioner refuses the cut: nothing was checked.
     """
     from ..algorithms.partitioned import solve_partitioned
     from ..core.partition import PartitionError
@@ -1219,8 +859,8 @@ def check_partition(
         # The partitioner refused the cut (high-replication guard or a
         # degenerate instance).  That IS the contract: every production
         # caller degrades to the monolithic solve, so there is no merge
-        # whose quality could violate the floor.
-        return []
+        # whose quality could violate the floor — a vacuous pass.
+        return None
     except Exception as exc:  # noqa: BLE001
         return [
             FuzzFinding(
@@ -1292,114 +932,177 @@ def _shrink_partition_candidates(config) -> List[object]:
     return candidates
 
 
-def shrink_partition_config(
-    config,
-    cells: int,
-    algorithm: str = "DeDPO",
-    utility_floor: float = PARTITION_UTILITY_FLOOR,
-    max_rounds: int = 12,
-):
-    """Greedily shrink a failing clustered config to a minimal repro."""
-    current = config
-    findings = check_partition(current, cells, algorithm, utility_floor)
-    if not findings:
-        return current, findings  # flaky input; nothing to shrink
-    for _ in range(max_rounds):
-        for candidate in _shrink_partition_candidates(current):
-            candidate_findings = check_partition(
-                candidate, cells, algorithm, utility_floor
-            )
-            if candidate_findings:
-                current, findings = candidate, candidate_findings
-                break
-        else:
-            break
-    return current, findings
+# ----------------------------------------------------------------------
+# one campaign loop, one artifact format, one replay
+# ----------------------------------------------------------------------
 
 
-def run_partition_fuzz(
-    seed: int = 0,
-    max_instances: int = 50,
-    time_budget_s: Optional[float] = None,
-    algorithm: str = "DeDPO",
-    cells: Optional[int] = None,
-    utility_floor: float = PARTITION_UTILITY_FLOOR,
-    shrink: bool = True,
-    out_path: Optional[str] = None,
-    progress: bool = False,
-    progress_stream=None,
+def _campaign(
+    mode: _Mode,
+    report: FuzzReport,
+    count: int,
+    time_budget_s: Optional[float],
+    shrink: bool,
+    out_path: Optional[str],
+    progress: bool,
+    progress_stream,
 ) -> FuzzReport:
-    """Run a partition campaign; stop at the first failing instance.
-
-    Each instance is one seeded clustered config checked by
-    :func:`check_partition` at one cell count — ``cells`` when given,
-    otherwise a seeded draw from :data:`PARTITION_CELL_CHOICES` so the
-    single-cell bit-identity case is exercised alongside real cuts.
-    """
-    rng = random.Random(seed)
+    """Run ``mode`` for up to ``count`` cases from the master seed;
+    record, shrink and dump the first failing one on ``report``."""
+    rng = random.Random(report.seed)
     stream = progress_stream if progress_stream is not None else sys.stderr
-    report = FuzzReport(
-        seed=seed,
-        algorithms=[algorithm],
-        mode="partition",
-        partition_utility_floor=utility_floor,
-    )
     start = time.perf_counter()
-
-    for index in range(max_instances):
+    for index in range(count):
         if time_budget_s is not None and time.perf_counter() - start > time_budget_s:
             break
-        config = random_clustered_config(rng)
-        instance_cells = (
-            cells if cells is not None else rng.choice(PARTITION_CELL_CHOICES)
-        )
-        findings = check_partition(
-            config, instance_cells, algorithm, utility_floor
-        )
+        case = mode.draw(rng)
+        findings = [case.error] if case.error else mode.check(case)
         report.instances_run = index + 1
-        if findings:
+        if findings is None:
+            report.refused += 1
+        elif findings:
             report.findings = findings
-            report.failing_config = config
-            report.partition_cells = instance_cells
-            if shrink:
-                shrunk, shrunk_findings = shrink_partition_config(
-                    config, instance_cells, algorithm, utility_floor
-                )
-                report.shrunk_config = shrunk
-                report.findings = shrunk_findings
+            report.failing_config = case.config
+            report.failing_mutations = case.mutations
+            report.partition_cells = case.cells
+            report.kill_index = case.kill_index
+            report.disk_fault = case.disk_fault
+            if shrink and mode.shrink is not None and not case.error:
+                shrunk, report.findings = mode.shrink(case)
+                if shrunk.mutations is None:
+                    report.shrunk_config = shrunk.config
+                else:
+                    report.shrunk_mutations = shrunk.mutations
             if out_path:
                 dump_repro(report, out_path)
                 report.repro_path = out_path
             break
-        if progress and (index + 1) % 10 == 0:
+        if progress and (index + 1) % max(1, count // 20) == 0:
+            fault = (
+                f", killed before step {case.kill_index}"
+                if case.kill_index is not None
+                else f", survived {case.disk_fault}" if case.disk_fault else ""
+            )
             print(
-                f"[partition seed={seed}] {index + 1}/{max_instances} "
-                f"instances clean ({time.perf_counter() - start:.1f}s)",
+                f"[{report.mode} seed={report.seed}] {index + 1}/{count} "
+                f"{report.unit} clean ({time.perf_counter() - start:.1f}s)"
+                f"{fault}",
                 file=stream,
                 flush=True,
             )
-
     report.elapsed_s = time.perf_counter() - start
     return report
 
 
-def _config_to_dict(config: SyntheticConfig) -> Dict[str, object]:
-    return dataclasses.asdict(config)
+def _static_mode(
+    algorithms: Sequence[str],
+    extra_solvers: Optional[Mapping[str, Callable[[], Solver]]],
+    certify: bool,
+) -> _Mode:
+    def check(case: _Case) -> List[FuzzFinding]:
+        return fuzz_config(
+            case.config, algorithms, extra_solvers=extra_solvers, certify=certify
+        )
+
+    return _Mode(
+        draw=lambda rng: _Case(random_config(rng)),
+        check=check,
+        shrink=lambda case: _greedy_shrink(case, _shrink_candidates, check, 40),
+    )
 
 
-def config_from_dict(data: Mapping[str, object]) -> SyntheticConfig:
-    """Rebuild a :class:`SyntheticConfig` from its JSON form."""
-    fields = {f.name for f in dataclasses.fields(SyntheticConfig)}
-    return SyntheticConfig(**{k: v for k, v in data.items() if k in fields})
+def _draw_stream(rng: random.Random, length: int) -> _Case:
+    """A random config and a seeded mutation stream valid against it."""
+    config = random_config(rng)
+    try:
+        return _Case(config, mutations=generate_churn_stream(config, rng, length))
+    except Exception as exc:  # noqa: BLE001 - the whole point of fuzzing
+        return _Case(
+            config,
+            error=FuzzFinding("<churn-gen>", "crash", f"{type(exc).__name__}: {exc}"),
+        )
+
+
+def _churn_mode(algorithms: Sequence[str], length: int) -> _Mode:
+    def shrink(case: _Case):
+        mutations, findings = shrink_mutations(
+            case.config, case.mutations, algorithms
+        )
+        return dataclasses.replace(case, mutations=mutations), findings
+
+    return _Mode(
+        draw=lambda rng: _draw_stream(rng, length),
+        check=lambda case: fuzz_churn(case.config, case.mutations, algorithms),
+        shrink=shrink,
+    )
+
+
+def _fleet_mode(name: str, length: int, workers: int) -> _Mode:
+    """``churn-kill`` or ``churn-disk``: no shrinking, each case boots a fleet."""
+
+    def draw(rng: random.Random) -> _Case:
+        case = _draw_stream(rng, length)
+        if case.error:
+            return case
+        bound = max(1, len(case.mutations))
+        if name == "churn-kill":
+            return dataclasses.replace(case, kill_index=rng.randrange(bound))
+        from ..service.faults import DiskFaultSpec
+
+        # after_writes < 1 header + len(mutations) records => always fires
+        fault = DiskFaultSpec.random(rng.randrange(1 << 30), max_after=bound)
+        return dataclasses.replace(
+            case, disk_fault=f"{fault.kind}:{fault.after_writes}:{fault.attempts}"
+        )
+
+    return _Mode(
+        draw=draw,
+        check=lambda case: check_fleet_stream(
+            case.config,
+            case.mutations,
+            workers,
+            kill_index=case.kill_index,
+            disk_fault=case.disk_fault,
+        ),
+    )
+
+
+def _partition_mode(
+    algorithm: str, cells: Optional[int], utility_floor: float
+) -> _Mode:
+    def draw(rng: random.Random) -> _Case:
+        config = random_clustered_config(rng)
+        return _Case(
+            config,
+            cells=cells if cells is not None else rng.choice(PARTITION_CELL_CHOICES),
+        )
+
+    def check(case: _Case) -> Optional[List[FuzzFinding]]:
+        return check_partition(case.config, case.cells, algorithm, utility_floor)
+
+    return _Mode(
+        draw=draw,
+        check=check,
+        shrink=lambda case: _greedy_shrink(
+            case, _shrink_partition_candidates, check, 12
+        ),
+    )
+
+
+def config_from_dict(data: Mapping[str, object], cls=SyntheticConfig):
+    """Rebuild a :class:`SyntheticConfig` (or ``cls``) from its JSON form."""
+    fields = {f.name for f in dataclasses.fields(cls)}
+    return cls(**{k: v for k, v in data.items() if k in fields})
 
 
 def dump_repro(report: FuzzReport, path: str) -> None:
-    """Write the failing-seed JSON artifact for a failed campaign.
+    """Write the failing case of a failed campaign as a JSON artifact.
 
-    Churn campaigns additionally record the failing mutation stream
-    (and its shrunk minimum) in op-tagged wire form under
-    ``mutations`` / ``shrunk_mutations``; :func:`replay` prefers the
-    shrunk list.
+    Beside the config (and its shrunk minimum), the artifact records
+    what the mode drew after it: the mutation stream in op-tagged wire
+    form under ``mutations`` (and ``shrunk_mutations``), the
+    ``kill_index``, the ``disk_fault`` spec, or the partition ``cells``
+    and ``utility_floor``.  :func:`replay` reads them back.
     """
     from ..io import mutation_to_dict
 
@@ -1413,25 +1116,27 @@ def dump_repro(report: FuzzReport, path: str) -> None:
         "master_seed": report.seed,
         "instances_run": report.instances_run,
         "algorithms": report.algorithms,
-        "config": _config_to_dict(report.failing_config)
+        "config": dataclasses.asdict(report.failing_config)
         if report.failing_config
         else None,
-        "shrunk_config": _config_to_dict(report.shrunk_config)
+        "shrunk_config": dataclasses.asdict(report.shrunk_config)
         if report.shrunk_config
         else None,
         "findings": [finding.to_dict() for finding in report.findings],
     }
-    if report.failing_mutations is not None:
-        payload["mutations"] = [
-            mutation_to_dict(m) for m in report.failing_mutations
-        ]
-    if report.shrunk_mutations is not None:
-        payload["shrunk_mutations"] = [
-            mutation_to_dict(m) for m in report.shrunk_mutations
-        ]
+    for key, mutations in (
+        ("mutations", report.failing_mutations),
+        ("shrunk_mutations", report.shrunk_mutations),
+    ):
+        if mutations is not None:
+            payload[key] = [mutation_to_dict(m) for m in mutations]
     if report.mode == "partition":
         payload["cells"] = report.partition_cells
         payload["utility_floor"] = report.partition_utility_floor
+    if report.kill_index is not None:
+        payload["kill_index"] = report.kill_index
+    if report.disk_fault is not None:
+        payload["disk_fault"] = report.disk_fault
     with open(path, "w") as handle:
         json.dump(payload, handle, indent=2)
         handle.write("\n")
@@ -1443,14 +1148,14 @@ def replay(
     extra_solvers: Optional[Mapping[str, Callable[[], Solver]]] = None,
     certify: bool = True,
 ) -> List[FuzzFinding]:
-    """Re-run the checks recorded in a repro JSON; returns the findings.
+    """Re-run the case recorded in a repro JSON; returns the findings.
 
-    Prefers the shrunk config (the minimal repro) and falls back to the
-    original failing config.  A churn artifact (one with a
-    ``mutations`` / ``shrunk_mutations`` key) replays the recorded
-    mutation stream through :func:`fuzz_churn` instead.  Solvers that
-    were injected through ``extra_solvers`` at fuzz time are not in the
-    registry and must be re-supplied here to reproduce their findings.
+    The artifact's own mode re-runs its check on the recorded case —
+    kill position, disk fault or cell count included — preferring the
+    shrunk config and stream (the minimal repro).  ``algorithms``
+    defaults to the recorded ones.  Solvers that were injected through
+    ``extra_solvers`` at fuzz time are not in the registry and must be
+    re-supplied here to reproduce their findings.
     """
     from ..io import mutations_from_list
 
@@ -1459,31 +1164,58 @@ def replay(
     config_data = payload.get("shrunk_config") or payload.get("config")
     if config_data is None:
         raise ValueError(f"{path}: no config recorded")
-    if payload.get("mode") == "partition":
+    mode = payload.get("mode", "static")
+    recorded = payload.get("algorithms")
+    if algorithms is None:
+        algorithms = recorded or default_algorithms()
+    if mode == "partition":
         from ..datagen.clustered import ClusteredConfig
 
-        fields = {f.name for f in dataclasses.fields(ClusteredConfig)}
-        clustered = ClusteredConfig(
-            **{k: v for k, v in config_data.items() if k in fields}
-        )
-        recorded = payload.get("algorithms") or ["DeDPO"]
-        return check_partition(
-            clustered,
-            cells=int(payload.get("cells") or 4),
-            algorithm=recorded[0],
-            utility_floor=float(
-                payload.get("utility_floor") or PARTITION_UTILITY_FLOOR
-            ),
-        )
-    config = config_from_dict(config_data)
-    if algorithms is None:
-        algorithms = payload.get("algorithms") or default_algorithms()
+        config = config_from_dict(config_data, ClusteredConfig)
+        check = _partition_mode(
+            (recorded or ["DeDPO"])[0],
+            None,
+            payload.get("utility_floor") or PARTITION_UTILITY_FLOOR,
+        ).check
+    else:
+        config = config_from_dict(config_data)
+        if mode == "churn":
+            check = _churn_mode(algorithms, 0).check
+        elif mode in ("churn-kill", "churn-disk"):
+            check = _fleet_mode(mode, 0, 2).check
+        else:
+            check = _static_mode(algorithms, extra_solvers, certify).check
+    # No stream is recorded when drawing it crashed: replay the config.
     mutation_data = payload.get("shrunk_mutations", payload.get("mutations"))
-    if mutation_data is not None:
-        return fuzz_churn(config, mutations_from_list(mutation_data), algorithms)
-    return fuzz_config(
-        config, algorithms, extra_solvers=extra_solvers, certify=certify
+    case = _Case(
+        config,
+        mutations=mutations_from_list(mutation_data or []),
+        kill_index=payload.get("kill_index"),
+        disk_fault=payload.get("disk_fault"),
+        cells=payload.get("cells"),
     )
+    return check(case) or []
+
+
+# ----------------------------------------------------------------------
+# the five campaigns
+# ----------------------------------------------------------------------
+
+
+def _validate(
+    time_budget_s: Optional[float] = None,
+    utility_floor: Optional[float] = None,
+    **counts: Optional[int],
+) -> None:
+    """Raise ``ValueError`` for a campaign parameter out of range;
+    every one of ``counts`` that is given must be at least 1."""
+    for name, value in counts.items():
+        if value is not None and not value >= 1:
+            raise ValueError(f"{name} must be >= 1, got {value!r}")
+    if time_budget_s is not None and not time_budget_s >= 0:
+        raise ValueError(f"time_budget_s must be >= 0, got {time_budget_s!r}")
+    if utility_floor is not None and not 0 < utility_floor <= 1:
+        raise ValueError(f"utility_floor must be in (0, 1], got {utility_floor!r}")
 
 
 def run_fuzz(
@@ -1514,52 +1246,154 @@ def run_fuzz(
         shrink: Shrink the failing config to a minimal repro.
         out_path: Where to dump the JSON repro when a failure is found
             (nothing is written on success).
-        progress: Emit a line every 25 instances to ``progress_stream``
-            (default stderr).
+        progress: Emit a line every 5% of ``max_instances`` to
+            ``progress_stream`` (default stderr).
 
     Returns:
         A :class:`FuzzReport`; ``report.ok`` is the campaign verdict.
     """
-    rng = random.Random(seed)
+    _validate(max_instances=max_instances, time_budget_s=time_budget_s)
     algorithms = list(algorithms) if algorithms is not None else default_algorithms()
-    stream = progress_stream if progress_stream is not None else sys.stderr
-    report = FuzzReport(seed=seed, algorithms=algorithms)
-    start = time.perf_counter()
+    return _campaign(
+        _static_mode(algorithms, extra_solvers, certify),
+        FuzzReport(seed=seed, algorithms=algorithms),
+        max_instances, time_budget_s, shrink, out_path, progress, progress_stream,
+    )
 
-    for index in range(max_instances):
-        if time_budget_s is not None and time.perf_counter() - start > time_budget_s:
-            break
-        config = random_config(rng)
-        findings = fuzz_config(
-            config, algorithms, extra_solvers=extra_solvers, certify=certify
-        )
-        report.instances_run = index + 1
-        if findings:
-            report.findings = findings
-            report.failing_config = config
-            if shrink:
-                shrunk, shrunk_findings = shrink_config(
-                    config,
-                    algorithms,
-                    extra_solvers=extra_solvers,
-                    certify=certify,
-                )
-                report.shrunk_config = shrunk
-                report.findings = shrunk_findings
-            if out_path:
-                dump_repro(report, out_path)
-                report.repro_path = out_path
-            break
-        if progress and (index + 1) % 25 == 0:
-            print(
-                f"[fuzz seed={seed}] {index + 1}/{max_instances} instances "
-                f"clean ({time.perf_counter() - start:.1f}s)",
-                file=stream,
-                flush=True,
-            )
 
-    report.elapsed_s = time.perf_counter() - start
-    return report
+def run_churn_fuzz(
+    seed: int = 0,
+    streams: int = 20,
+    mutations_per_stream: int = 30,
+    time_budget_s: Optional[float] = None,
+    algorithms: Optional[Sequence[str]] = None,
+    shrink: bool = True,
+    out_path: Optional[str] = None,
+    progress: bool = False,
+    progress_stream=None,
+) -> FuzzReport:
+    """Run a churn campaign; stop at the first failing stream.
+
+    Each stream is one random config plus one seeded mutation stream,
+    checked by :func:`check_churn_stream`.  ``instances_run`` counts
+    streams.  On failure the stream is shrunk to a minimal mutation
+    list and the JSON repro (with a ``mutations`` key) is dumped for
+    :func:`replay`.
+    """
+    _validate(streams=streams, mutations_per_stream=mutations_per_stream,
+              time_budget_s=time_budget_s)
+    algorithms = list(algorithms) if algorithms is not None else list(CHURN_ALGORITHMS)
+    return _campaign(
+        _churn_mode(algorithms, mutations_per_stream),
+        FuzzReport(seed=seed, algorithms=algorithms, mode="churn"),
+        streams, time_budget_s, shrink, out_path, progress, progress_stream,
+    )
+
+
+def run_churn_kill_fuzz(
+    seed: int = 0,
+    streams: int = 3,
+    mutations_per_stream: int = 20,
+    workers: int = 2,
+    time_budget_s: Optional[float] = None,
+    out_path: Optional[str] = None,
+    progress: bool = False,
+    progress_stream=None,
+) -> FuzzReport:
+    """Churn fuzzing across a worker SIGKILL; stop at the first failure.
+
+    Each stream kills the shard worker at a seeded position in the
+    mutation stream and asserts full recovery (see
+    :func:`check_fleet_stream`).  Streams are expensive — each boots a
+    real fleet — so the default count is small; CI's ``worker-chaos``
+    job runs this mode, not the tier-1 suite.  No shrinking: the
+    failure is process-level.  The artifact records the config, the
+    stream and the ``kill_index``, and :func:`replay` re-runs it.
+    """
+    _validate(streams=streams, mutations_per_stream=mutations_per_stream,
+              workers=workers, time_budget_s=time_budget_s)
+    return _campaign(
+        _fleet_mode("churn-kill", mutations_per_stream, workers),
+        FuzzReport(seed=seed, algorithms=["DeDP"], mode="churn-kill"),
+        streams, time_budget_s, False, out_path, progress, progress_stream,
+    )
+
+
+def run_churn_disk_fuzz(
+    seed: int = 0,
+    streams: int = 3,
+    mutations_per_stream: int = 20,
+    workers: int = 2,
+    time_budget_s: Optional[float] = None,
+    out_path: Optional[str] = None,
+    progress: bool = False,
+    progress_stream=None,
+) -> FuzzReport:
+    """Churn fuzzing with a seeded disk fault instead of a SIGKILL.
+
+    Each stream draws its own :class:`~repro.service.faults.DiskFaultSpec`
+    via ``DiskFaultSpec.random`` — same master seed, same fault kinds
+    and arming positions — and asserts the degradation contract (see
+    :func:`check_fleet_stream`).  Like churn-kill, streams boot a real
+    fleet, so the default count is small and CI's ``worker-chaos`` job
+    owns this mode.  The artifact records the fault as
+    ``disk_fault`` (``kind:after_writes:attempts``).
+    """
+    _validate(streams=streams, mutations_per_stream=mutations_per_stream,
+              workers=workers, time_budget_s=time_budget_s)
+    return _campaign(
+        _fleet_mode("churn-disk", mutations_per_stream, workers),
+        FuzzReport(seed=seed, algorithms=["DeDP"], mode="churn-disk"),
+        streams, time_budget_s, False, out_path, progress, progress_stream,
+    )
+
+
+def run_partition_fuzz(
+    seed: int = 0,
+    max_instances: int = 50,
+    time_budget_s: Optional[float] = None,
+    algorithm: str = "DeDPO",
+    cells: Optional[int] = None,
+    utility_floor: float = PARTITION_UTILITY_FLOOR,
+    shrink: bool = True,
+    out_path: Optional[str] = None,
+    progress: bool = False,
+    progress_stream=None,
+) -> FuzzReport:
+    """Run a partition campaign; stop at the first failing instance.
+
+    Each instance is one seeded clustered config checked by
+    :func:`check_partition` at one cell count — ``cells`` when given,
+    otherwise a seeded draw from :data:`PARTITION_CELL_CHOICES` so the
+    single-cell bit-identity case is exercised alongside real cuts.
+    ``report.refused`` counts the cuts the partitioner refused.
+    """
+    _validate(max_instances=max_instances, cells=cells,
+              utility_floor=utility_floor, time_budget_s=time_budget_s)
+    return _campaign(
+        _partition_mode(algorithm, cells, utility_floor),
+        FuzzReport(
+            seed=seed,
+            algorithms=[algorithm],
+            mode="partition",
+            partition_utility_floor=utility_floor,
+        ),
+        max_instances, time_budget_s, shrink, out_path, progress, progress_stream,
+    )
+
+
+def _checked(kind: Callable[[str], object], name: str):
+    """An argparse ``type``: parse with ``kind``, then :func:`_validate`."""
+
+    def parse(text: str):
+        try:
+            value = kind(text)
+            _validate(**{name: value})
+        except ValueError as exc:
+            raise argparse.ArgumentTypeError(str(exc)) from None
+        return value
+
+    return parse
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -1570,13 +1404,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--seed", type=int, default=0, help="master seed")
     parser.add_argument(
         "--max-instances",
-        type=int,
+        type=_checked(int, "max_instances"),
         default=200,
         help="stop after this many instances (default: 200)",
     )
     parser.add_argument(
         "--time-budget",
-        type=float,
+        type=_checked(float, "time_budget_s"),
         default=None,
         metavar="SECONDS",
         help="wall-clock box; stop opening new instances once exceeded",
@@ -1620,34 +1454,35 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     )
     parser.add_argument(
         "--cells",
-        type=int,
+        type=_checked(int, "cells"),
         default=None,
         help="partition mode: fixed cell count (default: seeded draw "
         f"from {PARTITION_CELL_CHOICES})",
     )
     parser.add_argument(
         "--utility-floor",
-        type=float,
+        type=_checked(float, "utility_floor"),
         default=PARTITION_UTILITY_FLOOR,
         help="partition mode: minimum merged/monolithic utility ratio "
         f"(default: {PARTITION_UTILITY_FLOOR})",
     )
     parser.add_argument(
         "--workers",
-        type=int,
+        type=_checked(int, "workers"),
         default=2,
         help="churn-kill / churn-disk modes: fleet size (default: 2)",
     )
     parser.add_argument(
         "--streams",
-        type=int,
+        type=_checked(int, "streams"),
         default=None,
         help="churn mode: number of mutation streams (default: 20; "
-        "churn-kill mode defaults to 3 — each stream boots a fleet)",
+        "churn-kill and churn-disk modes default to 3 — each stream "
+        "boots a fleet)",
     )
     parser.add_argument(
         "--mutations-per-stream",
-        type=int,
+        type=_checked(int, "mutations_per_stream"),
         default=30,
         help="churn mode: mutations per stream (default: 30)",
     )
@@ -1669,61 +1504,45 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument("--quiet", action="store_true", help="no progress lines")
     args = parser.parse_args(argv)
 
-    if args.churn_disk:
-        report = run_churn_disk_fuzz(
-            seed=args.seed,
+    common = dict(
+        seed=args.seed,
+        time_budget_s=args.time_budget,
+        out_path=args.out,
+        progress=not args.quiet,
+    )
+    algorithms = args.algorithms.split(",") if args.algorithms else None
+    if args.churn_disk or args.churn_kill:
+        run = run_churn_disk_fuzz if args.churn_disk else run_churn_kill_fuzz
+        report = run(
             streams=args.streams if args.streams is not None else 3,
             mutations_per_stream=args.mutations_per_stream,
             workers=args.workers,
-            time_budget_s=args.time_budget,
-            out_path=args.out,
-            progress=not args.quiet,
-        )
-    elif args.churn_kill:
-        report = run_churn_kill_fuzz(
-            seed=args.seed,
-            streams=args.streams if args.streams is not None else 3,
-            mutations_per_stream=args.mutations_per_stream,
-            workers=args.workers,
-            time_budget_s=args.time_budget,
-            out_path=args.out,
-            progress=not args.quiet,
+            **common,
         )
     elif args.partition:
         report = run_partition_fuzz(
-            seed=args.seed,
             max_instances=args.max_instances,
-            time_budget_s=args.time_budget,
-            algorithm=(
-                args.algorithms.split(",")[0] if args.algorithms else "DeDPO"
-            ),
+            algorithm=algorithms[0] if algorithms else "DeDPO",
             cells=args.cells,
             utility_floor=args.utility_floor,
             shrink=not args.no_shrink,
-            out_path=args.out,
-            progress=not args.quiet,
+            **common,
         )
     elif args.churn:
         report = run_churn_fuzz(
-            seed=args.seed,
             streams=args.streams if args.streams is not None else 20,
             mutations_per_stream=args.mutations_per_stream,
-            time_budget_s=args.time_budget,
-            algorithms=args.algorithms.split(",") if args.algorithms else None,
+            algorithms=algorithms,
             shrink=not args.no_shrink,
-            out_path=args.out,
-            progress=not args.quiet,
+            **common,
         )
     else:
         report = run_fuzz(
-            seed=args.seed,
             max_instances=args.max_instances,
-            time_budget_s=args.time_budget,
-            algorithms=args.algorithms.split(",") if args.algorithms else None,
+            algorithms=algorithms,
             certify=not args.no_certify,
             shrink=not args.no_shrink,
-            out_path=args.out,
-            progress=not args.quiet,
+            **common,
         )
     print(report.summary())
     if not report.ok:

@@ -108,6 +108,45 @@ class TestRunSweep:
         assert all("peak_mem_kb" in row for row in with_mem.rows)
 
 
+class TestColdCells:
+    """A cell's time must not depend on the cells run before it.
+
+    Every algorithm at a point shares one instance (sequential) or
+    adopts the first cell's build (``jobs > 1``), so without a reset a
+    solver would inherit the schedule memo and whole-solve replay cache
+    its predecessors filled and time their warmth, not its own work.
+    """
+
+    @staticmethod
+    def _rows(algorithms, jobs=None):
+        from repro.algorithms.registry import PAPER_ALGORITHMS
+
+        point = SweepPoint(
+            axis_value=60,
+            build=lambda: generate_instance(
+                SyntheticConfig(
+                    num_events=12, num_users=60, mean_capacity=4,
+                    grid_size=20, seed=5,
+                )
+            ),
+        )
+        names = list(PAPER_ALGORITHMS)
+        rows = run_sweep(
+            "users", [point], names if algorithms == "paper" else names[::-1],
+            measure_memory=False, profile=True, jobs=jobs,
+        ).rows
+        assert any("sched_cache_hits" in row for row in rows)
+        return rows
+
+    @pytest.mark.parametrize(
+        "order, jobs", [("paper", None), ("reversed", None), ("paper", 2)]
+    )
+    def test_every_cell_starts_cold(self, order, jobs):
+        for row in self._rows(order, jobs):
+            assert row.get("sched_cache_hits", 0) == 0, row
+            assert "sched_solve_replays" not in row, row
+
+
 #: Row keys whose values legitimately differ between runs of the same
 #: cell (wall-clock and allocation noise, plus run-configuration
 #: metadata such as the worker count actually used).

@@ -22,7 +22,8 @@ Asserted contract (the ISSUE's acceptance criterion):
   nothing double-applied;
 * the untouched shard's instance never blinks;
 * the fleet counter invariant (``ok+degraded+shed+invalid+failed ==
-  received``) holds on every worker after the dust settles.
+  received``) holds on every worker after the dust settles;
+* SIGTERM drains the whole fleet to exit code 0.
 
 Usage::
 
@@ -40,69 +41,18 @@ import json
 import os
 import shutil
 import signal
-import subprocess
 import sys
 import tempfile
-import time
-import urllib.error
-import urllib.request
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.io import instance_to_dict  # noqa: E402
 from repro.paper_example import build_example_instance  # noqa: E402
+from repro.service.admission import DISPOSITIONS  # noqa: E402
+from repro.service.router import ServeDaemon, request_json  # noqa: E402
 
-BOOT_TIMEOUT_S = 60
 NUM_BATCHES = 20
 KILL_BEFORE_BATCH = 8
-
-
-def _request(base, path, payload=None):
-    """Returns (status, decoded JSON body); raises OSError on transport."""
-    data = None if payload is None else json.dumps(payload).encode()
-    request = urllib.request.Request(base + path, data=data)
-    try:
-        with urllib.request.urlopen(request, timeout=120) as resp:
-            return resp.status, json.loads(resp.read())
-    except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
-
-
-def _boot(journal_root):
-    """Start the multi-worker daemon; return (proc, base_url)."""
-    cmd = [
-        sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-        "--workers", "2", "--journal-dir", journal_root, "--in-process",
-    ]
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.Popen(
-        cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env
-    )
-    deadline = time.monotonic() + BOOT_TIMEOUT_S
-    base = None
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if not line:
-            raise SystemExit(f"daemon exited during boot (code {proc.poll()})")
-        print(f"  daemon: {line.rstrip()}")
-        if line.startswith("serving on "):
-            base = line.split("serving on ", 1)[1].strip()
-            break
-    if base is None:
-        proc.kill()
-        raise SystemExit("daemon did not announce its address in time")
-    while time.monotonic() < deadline:
-        try:
-            status, _ = _request(base, "/readyz")
-            if status == 200:
-                return proc, base
-        except OSError:
-            pass
-        time.sleep(0.05)
-    proc.kill()
-    raise SystemExit("daemon never became ready")
 
 
 def _register_on_each_shard(base, failures):
@@ -114,7 +64,7 @@ def _register_on_each_shard(base, failures):
     for attempt in range(16):
         body = json.loads(json.dumps(wire))
         body["events"][0]["capacity"] = 40 + attempt
-        status, reply = _request(base, "/instances", {"instance": body})
+        status, reply = request_json(base, "/instances", {"instance": body})
         if status != 200:
             failures.append(f"registration {attempt} -> {status}: {reply}")
             return by_shard
@@ -127,11 +77,95 @@ def _register_on_each_shard(base, failures):
 
 
 def _worker_pid(base, shard):
-    _status, stats = _request(base, "/stats")
+    _status, stats = request_json(base, "/stats")
     for worker in stats.get("supervisor", []):
         if worker.get("worker_id") == shard:
             return worker.get("pid")
     return None
+
+
+def _churn_and_check(base, check, failures):
+    """Kill the victim shard mid-churn; returns the final fleet /stats."""
+    shards = _register_on_each_shard(base, failures)
+    check("one instance registered per shard", len(shards) == 2,
+          f"got shards {sorted(shards)}")
+    if len(shards) < 2:
+        return None
+    victim_shard, victim_id = sorted(shards.items())[0]
+    bystander_id = [iid for s, iid in shards.items() if s != victim_shard][0]
+    victim_pid = _worker_pid(base, victim_shard)
+    check(f"victim pid for shard {victim_shard} from /stats",
+          isinstance(victim_pid, int), f"got {victim_pid!r}")
+
+    print(f"churn: {NUM_BATCHES} batches, SIGKILL pid {victim_pid} "
+          f"before batch {KILL_BEFORE_BATCH}")
+    bad_statuses = []
+    for step in range(NUM_BATCHES):
+        if step == KILL_BEFORE_BATCH:
+            os.kill(victim_pid, signal.SIGKILL)
+        mutation = {
+            "op": "utility_change", "user_id": 0, "event_id": 1,
+            "utility": round((5 + step * 37 % 91) / 101.0, 6),
+        }
+        for instance_id in (victim_id, bystander_id):
+            try:
+                status, reply = request_json(
+                    base, "/mutate",
+                    {"instance_id": instance_id, "mutations": [mutation]},
+                )
+            except OSError as exc:
+                bad_statuses.append(
+                    f"step {step} {instance_id}: transport "
+                    f"{type(exc).__name__}: {exc}"
+                )
+                continue
+            if status != 200:
+                bad_statuses.append(
+                    f"step {step} {instance_id}: {status} {reply}"
+                )
+    check("zero transport errors / zero non-200s in churn",
+          not bad_statuses, "; ".join(bad_statuses[:4]))
+
+    for label, instance_id in (("victim", victim_id),
+                               ("bystander", bystander_id)):
+        status, reply = request_json(
+            base, "/solve",
+            {"instance_id": instance_id, "algorithm": "DeDP",
+             "deadline_s": 15},
+        )
+        check(f"{label} instance still solves", status == 200,
+              f"{status} {reply}")
+        if status == 200:
+            check(
+                f"{label} at the uninterrupted version",
+                reply.get("instance_version") == NUM_BATCHES,
+                f"version {reply.get('instance_version')} "
+                f"!= {NUM_BATCHES}",
+            )
+
+    status, stats = request_json(base, "/stats")
+    check("final /stats answers", status == 200, str(status))
+    for worker in stats.get("supervisor", []):
+        if worker.get("worker_id") == victim_shard:
+            check("victim shard restarted", worker.get("restarts", 0) >= 1,
+                  json.dumps(worker))
+            check("replacement replayed its journals",
+                  worker.get("recovered_instances", 0) >= 1,
+                  json.dumps(worker))
+            check("victim shard healthy again", worker.get("healthy"),
+                  json.dumps(worker))
+    for worker in stats.get("workers", []):
+        counters = worker.get("counters", {})
+        total = sum(counters.get(k, 0) for k in DISPOSITIONS)
+        check(
+            f"counter invariant on {worker.get('worker_id')}",
+            total == counters.get("received"),
+            json.dumps(counters),
+        )
+    router = stats.get("router", {})
+    check("router performed a failover retry",
+          router.get("failover_retries", 0) >= 1, json.dumps(router))
+    return stats
 
 
 def main(argv=None) -> int:
@@ -150,14 +184,8 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    if args.keep:
-        journal_root = os.path.abspath(args.keep)
-        os.makedirs(journal_root, exist_ok=True)
-        cleanup = None
-    else:
-        cleanup = tempfile.mkdtemp(prefix="chaos-journals-")
-        journal_root = cleanup
-
+    journal_root = args.keep or tempfile.mkdtemp(prefix="chaos-journals-")
+    os.makedirs(journal_root, exist_ok=True)
     failures = []
 
     def check(label, ok, detail=""):
@@ -165,103 +193,20 @@ def main(argv=None) -> int:
         if not ok:
             failures.append(f"{label}: {detail}")
 
-    proc, base = _boot(journal_root)
-    try:
-        shards = _register_on_each_shard(base, failures)
-        check("one instance registered per shard", len(shards) == 2,
-              f"got shards {sorted(shards)}")
-        if len(shards) < 2:
-            return 1
-        victim_shard, victim_id = sorted(shards.items())[0]
-        bystander_id = [iid for s, iid in shards.items()
-                       if s != victim_shard][0]
-        victim_pid = _worker_pid(base, victim_shard)
-        check(f"victim pid for shard {victim_shard} from /stats",
-              isinstance(victim_pid, int), f"got {victim_pid!r}")
-
-        print(f"churn: {NUM_BATCHES} batches, SIGKILL pid {victim_pid} "
-              f"before batch {KILL_BEFORE_BATCH}")
-        bad_statuses = []
-        for step in range(NUM_BATCHES):
-            if step == KILL_BEFORE_BATCH:
-                os.kill(victim_pid, signal.SIGKILL)
-            mutation = {
-                "op": "utility_change", "user_id": 0, "event_id": 1,
-                "utility": round((5 + step * 37 % 91) / 101.0, 6),
-            }
-            for instance_id in (victim_id, bystander_id):
-                try:
-                    status, reply = _request(
-                        base, "/mutate",
-                        {"instance_id": instance_id, "mutations": [mutation]},
-                    )
-                except OSError as exc:
-                    bad_statuses.append(
-                        f"step {step} {instance_id}: transport "
-                        f"{type(exc).__name__}: {exc}"
-                    )
-                    continue
-                if status != 200:
-                    bad_statuses.append(
-                        f"step {step} {instance_id}: {status} {reply}"
-                    )
-        check("zero transport errors / zero non-200s in churn",
-              not bad_statuses, "; ".join(bad_statuses[:4]))
-
-        for label, instance_id in (("victim", victim_id),
-                                   ("bystander", bystander_id)):
-            status, reply = _request(
-                base, "/solve",
-                {"instance_id": instance_id, "algorithm": "DeDP",
-                 "deadline_s": 15},
-            )
-            check(f"{label} instance still solves", status == 200,
-                  f"{status} {reply}")
-            if status == 200:
-                check(
-                    f"{label} at the uninterrupted version",
-                    reply.get("instance_version") == NUM_BATCHES,
-                    f"version {reply.get('instance_version')} "
-                    f"!= {NUM_BATCHES}",
-                )
-
-        status, stats = _request(base, "/stats")
-        check("final /stats answers", status == 200, str(status))
-        for worker in stats.get("supervisor", []):
-            if worker.get("worker_id") == victim_shard:
-                check("victim shard restarted", worker.get("restarts", 0) >= 1,
-                      json.dumps(worker))
-                check("replacement replayed its journals",
-                      worker.get("recovered_instances", 0) >= 1,
-                      json.dumps(worker))
-                check("victim shard healthy again", worker.get("healthy"),
-                      json.dumps(worker))
-        for worker in stats.get("workers", []):
-            counters = worker.get("counters", {})
-            total = sum(counters.get(k, 0) for k in
-                        ("ok", "degraded", "shed", "invalid", "failed"))
-            check(
-                f"counter invariant on {worker.get('worker_id')}",
-                total == counters.get("received"),
-                json.dumps(counters),
-            )
-        router = stats.get("router", {})
-        check("router performed a failover retry",
-              router.get("failover_retries", 0) >= 1, json.dumps(router))
-
+    with ServeDaemon(
+        ["--workers", "2", "--journal-dir", journal_root, "--in-process"]
+    ) as daemon:
+        stats = _churn_and_check(daemon.base_url, check, failures)
+    if stats is not None:
         with open(args.stats_out, "w") as handle:
             json.dump(stats, handle, indent=2, sort_keys=True)
         print(f"fleet stats snapshot written to {args.stats_out}")
-    finally:
-        proc.send_signal(signal.SIGTERM)
-        try:
-            proc.wait(timeout=60)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-        if cleanup and not failures:
-            shutil.rmtree(cleanup, ignore_errors=True)
-        elif cleanup:
-            print(f"journals preserved at {cleanup} for inspection")
+    check("SIGTERM drained the fleet to exit 0", daemon.exit_code == 0,
+          f"exit code {daemon.exit_code}")
+    if args.keep is None and not failures:
+        shutil.rmtree(journal_root, ignore_errors=True)
+    elif args.keep is None:
+        print(f"journals preserved at {journal_root} for inspection")
 
     if failures:
         print(f"\nFAILED: {failures}")

@@ -20,7 +20,8 @@ fault must *degrade*, never kill):
 * no worker dies for it: ``restarts == 0`` on every shard, and the
   degraded shard still answers ``/solve`` for its instance;
 * the fleet counter invariant (``ok+degraded+shed+invalid+failed ==
-  received``) still holds on every worker.
+  received``) still holds on every worker;
+* SIGTERM drains the degraded fleet to exit code 0.
 
 Usage::
 
@@ -34,74 +35,20 @@ import argparse
 import json
 import os
 import shutil
-import subprocess
 import sys
 import tempfile
-import time
-import urllib.error
-import urllib.request
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.io import instance_to_dict  # noqa: E402
 from repro.paper_example import build_example_instance  # noqa: E402
+from repro.service.admission import DISPOSITIONS  # noqa: E402
 from repro.service.faults import DISK_FAULT_ENV, DiskFaultSpec  # noqa: E402
-
-BOOT_TIMEOUT_S = 60
-DEGRADE_TIMEOUT_S = 30
-
-
-def _request(base, path, payload=None):
-    """Returns (status, decoded JSON body); raises OSError on transport."""
-    data = None if payload is None else json.dumps(payload).encode()
-    request = urllib.request.Request(base + path, data=data)
-    try:
-        with urllib.request.urlopen(request, timeout=120) as resp:
-            return resp.status, json.loads(resp.read())
-    except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
-
-
-def _boot(journal_root, fault):
-    """Start the daemon with the fault armed; return (proc, base_url)."""
-    cmd = [
-        sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-        "--workers", "2", "--journal-dir", journal_root, "--in-process",
-        # Scheduled compaction would reset the journal to one record
-        # and make the fault's write index moot; keep the stream linear.
-        "--snapshot-every", "0",
-    ]
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    env[DISK_FAULT_ENV] = fault
-    proc = subprocess.Popen(
-        cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True,
-        env=env,
-    )
-    deadline = time.monotonic() + BOOT_TIMEOUT_S
-    base = None
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if not line:
-            raise SystemExit(f"daemon exited during boot (code {proc.poll()})")
-        print(f"  daemon: {line.rstrip()}")
-        if line.startswith("serving on "):
-            base = line.split("serving on ", 1)[1].strip()
-            break
-    if base is None:
-        proc.kill()
-        raise SystemExit("daemon did not announce its address in time")
-    while time.monotonic() < deadline:
-        try:
-            status, _ = _request(base, "/readyz")
-            if status == 200:
-                return proc, base
-        except OSError:
-            pass
-        time.sleep(0.05)
-    proc.kill()
-    raise SystemExit("daemon never became ready")
+from repro.service.router import (  # noqa: E402
+    ServeDaemon,
+    request_json,
+    wait_journal_degraded,
+)
 
 
 def _mutation(index):
@@ -113,7 +60,7 @@ def _mutation(index):
 
 
 def run(base, batches, failures):
-    status, reply = _request(
+    status, reply = request_json(
         base, "/instances",
         {"instance": instance_to_dict(build_example_instance())},
     )
@@ -127,7 +74,7 @@ def run(base, batches, failures):
     durable_flips = 0
     for index in range(batches):
         try:
-            status, reply = _request(
+            status, reply = request_json(
                 base, "/mutate",
                 {"instance_id": instance_id, "mutations": [_mutation(index)]},
             )
@@ -146,25 +93,13 @@ def run(base, batches, failures):
         )
 
     # The supervisor's next heartbeat sees the degradation via /healthz.
-    degraded = []
-    deadline = time.monotonic() + DEGRADE_TIMEOUT_S
-    while time.monotonic() < deadline and not degraded:
-        _status, stats = _request(base, "/stats")
-        degraded = [
-            worker["worker_id"]
-            for worker in stats.get("supervisor", [])
-            if worker.get("journal_degraded")
-        ]
-        if not degraded:
-            time.sleep(0.2)
+    degraded, stats = wait_journal_degraded(base)
     if degraded:
         print(f"  supervisor reports journal_degraded on: {degraded}")
     else:
         failures.append(
             "supervisor never surfaced journal_degraded for any worker"
         )
-
-    _status, stats = _request(base, "/stats")
     for worker in stats.get("supervisor", []):
         if worker.get("restarts"):
             failures.append(
@@ -176,10 +111,7 @@ def run(base, batches, failures):
             failures.append(f"worker {worker['worker_id']} is unhealthy")
     for worker in stats.get("workers", []):
         counters = worker.get("counters", {})
-        settled = sum(
-            counters.get(key, 0)
-            for key in ("ok", "degraded", "shed", "invalid", "failed")
-        )
+        settled = sum(counters.get(key, 0) for key in DISPOSITIONS)
         if settled != counters.get("received"):
             failures.append(
                 f"{worker.get('worker_id')}: counter invariant broke "
@@ -187,7 +119,7 @@ def run(base, batches, failures):
             )
 
     # The degraded shard keeps solving from memory.
-    status, reply = _request(
+    status, reply = request_json(
         base, "/solve",
         {"instance_id": instance_id, "algorithm": "DeDP", "deadline_s": 30},
     )
@@ -214,17 +146,21 @@ def main(argv=None) -> int:
     failures = []
     stats = None
     print(f"disk-fault smoke: fault={args.fault}, journals in {journal_root}")
-    proc, base = _boot(journal_root, args.fault)
-    try:
-        stats = run(base, args.batches, failures)
-    finally:
-        proc.terminate()
-        try:
-            proc.wait(timeout=30)
-        except subprocess.TimeoutExpired:
-            proc.kill()
-        if args.keep is None:
-            shutil.rmtree(journal_root, ignore_errors=True)
+    with ServeDaemon(
+        [
+            "--workers", "2", "--journal-dir", journal_root, "--in-process",
+            # Scheduled compaction would reset the journal to one record
+            # and make the fault's write index moot; keep it linear.
+            "--snapshot-every", "0",
+        ],
+        env={DISK_FAULT_ENV: args.fault},
+    ) as daemon:
+        stats = run(daemon.base_url, args.batches, failures)
+    print(f"  SIGTERM drained the daemon to exit {daemon.exit_code}")
+    if daemon.exit_code != 0:
+        failures.append(f"SIGTERM drained the daemon to exit {daemon.exit_code}")
+    if args.keep is None:
+        shutil.rmtree(journal_root, ignore_errors=True)
     if args.stats_out and stats is not None:
         with open(args.stats_out, "w") as handle:
             json.dump(stats, handle, indent=2, sort_keys=True)

@@ -11,7 +11,8 @@ request; a kept-alive phase then sends 30 ``GET /healthz`` and a warm
 repeat solve on one held connection, and fails if the healthz median
 reaches 20 ms (a reply stalled by Nagle's algorithm waits about 40 ms
 for the client's delayed ACK).  The final ``/stats`` snapshot is
-written to disk so CI can upload it as an artifact.
+written to disk so CI can upload it as an artifact.  Last, SIGTERM
+must drain the daemon to exit code 0.
 
 Usage::
 
@@ -24,75 +25,20 @@ import argparse
 import http.client
 import json
 import os
-import signal
 import statistics
-import subprocess
 import sys
 import time
-import urllib.error
-import urllib.request
 from urllib.parse import urlsplit
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro.io import instance_to_dict  # noqa: E402
 from repro.paper_example import build_example_instance  # noqa: E402
+from repro.service.admission import DISPOSITIONS  # noqa: E402
+from repro.service.router import ServeDaemon, request_json  # noqa: E402
 
-BOOT_TIMEOUT_S = 30
 KEPT_ALIVE_REQUESTS = 30
 KEPT_ALIVE_MEDIAN_LIMIT_S = 0.020
-
-
-def _request(base, path, payload=None, raw_body=None):
-    """Returns (status, decoded JSON body)."""
-    data = raw_body if raw_body is not None else (
-        None if payload is None else json.dumps(payload).encode()
-    )
-    request = urllib.request.Request(base + path, data=data)
-    try:
-        with urllib.request.urlopen(request, timeout=60) as resp:
-            return resp.status, json.loads(resp.read())
-    except urllib.error.HTTPError as exc:
-        return exc.code, json.loads(exc.read())
-
-
-def _boot(extra_args):
-    """Start `repro-usep serve` on an ephemeral port; return (proc, base)."""
-    cmd = [
-        sys.executable, "-m", "repro.cli", "serve", "--port", "0",
-        "--max-body-bytes", "65536",
-    ] + list(extra_args)
-    env = dict(os.environ)
-    src = os.path.join(os.path.dirname(__file__), "..", "src")
-    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
-    proc = subprocess.Popen(
-        cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT, text=True, env=env
-    )
-    deadline = time.monotonic() + BOOT_TIMEOUT_S
-    base = None
-    while time.monotonic() < deadline:
-        line = proc.stdout.readline()
-        if not line:
-            raise SystemExit(
-                f"server exited during boot (code {proc.poll()})"
-            )
-        print(f"  server: {line.rstrip()}")
-        if line.startswith("serving on "):
-            base = line.split("serving on ", 1)[1].strip()
-            break
-    if base is None:
-        proc.kill()
-        raise SystemExit("server did not announce its address in time")
-    # wait for the listener to answer
-    while time.monotonic() < deadline:
-        try:
-            status, _ = _request(base, "/healthz")
-            if status == 200:
-                return proc, base
-        except OSError:
-            time.sleep(0.05)
-    proc.kill()
-    raise SystemExit("server never became healthy")
 
 
 def main(argv=None) -> int:
@@ -104,7 +50,6 @@ def main(argv=None) -> int:
     )
     args = parser.parse_args(argv)
 
-    proc, base = _boot([])
     failures = []
 
     def check(label, got, want):
@@ -113,43 +58,44 @@ def main(argv=None) -> int:
         if got != want:
             failures.append(label)
 
-    try:
+    with ServeDaemon(["--max-body-bytes", "65536"]) as daemon:
+        base = daemon.base_url
         instance = instance_to_dict(build_example_instance())
         valid = {"instance": instance, "algorithm": "DeDP", "deadline_s": 10}
 
         print("mixed batch:")
-        status, body = _request(base, "/solve", payload=valid)
+        status, body = request_json(base, "/solve", payload=valid)
         check("valid solve", status, 200)
         if status == 200 and not body.get("verified"):
             failures.append("valid solve not oracle-verified")
 
-        status, body = _request(base, "/solve", payload=valid)
+        status, body = request_json(base, "/solve", payload=valid)
         check("warm repeat solve", status, 200)
         if status == 200 and not body.get("cache_hit"):
             failures.append("warm repeat missed the build cache")
 
-        status, _ = _request(base, "/solve", raw_body=b"{definitely not json")
+        status, _ = request_json(base, "/solve", raw_body=b"{definitely not json")
         check("malformed JSON", status, 400)
 
         broken = json.loads(json.dumps(valid))
         broken["instance"]["events"][0]["capacity"] = "lots"
-        status, body = _request(base, "/solve", payload=broken)
+        status, body = request_json(base, "/solve", payload=broken)
         check("invalid instance", status, 400)
         if status == 400 and "events[0].capacity" not in body.get("detail", ""):
             failures.append("invalid-instance detail lacks JSON path")
 
-        status, _ = _request(
+        status, _ = request_json(
             base, "/solve",
             raw_body=b'{"instance": ' + b" " * 70000 + b"{}}",
         )
         check("oversize body", status, 413)
 
-        status, _ = _request(
+        status, _ = request_json(
             base, "/solve", payload={**valid, "algorithm": "Clairvoyant"}
         )
         check("unknown algorithm", status, 400)
 
-        status, body = _request(
+        status, body = request_json(
             base, "/solve", payload={**valid, "deadline_s": 1e-6}
         )
         check("past-deadline request", status, 503)
@@ -157,7 +103,7 @@ def main(argv=None) -> int:
             failures.append("past-deadline shed lacks retry_after")
 
         for path, want in (("/healthz", 200), ("/readyz", 200)):
-            status, _ = _request(base, path)
+            status, _ = request_json(base, path)
             check(f"GET {path}", status, want)
 
         print("kept-alive phase:")
@@ -195,24 +141,16 @@ def main(argv=None) -> int:
         finally:
             conn.close()
 
-        status, stats = _request(base, "/stats")
+        status, stats = request_json(base, "/stats")
         check("GET /stats", status, 200)
         counters = stats.get("counters", {})
-        total = sum(
-            counters.get(k, 0)
-            for k in ("ok", "degraded", "shed", "invalid", "failed")
-        )
+        total = sum(counters.get(k, 0) for k in DISPOSITIONS)
         check("stats counters sum to received", total, counters.get("received"))
 
         with open(args.stats_out, "w") as handle:
             json.dump(stats, handle, indent=2, sort_keys=True)
         print(f"stats snapshot written to {args.stats_out}")
-    finally:
-        proc.send_signal(signal.SIGINT)
-        try:
-            proc.wait(timeout=10)
-        except subprocess.TimeoutExpired:
-            proc.kill()
+    check("SIGTERM drained the daemon to exit", daemon.exit_code, 0)
 
     if failures:
         print(f"\nFAILED: {failures}")
