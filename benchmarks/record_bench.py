@@ -3,28 +3,40 @@
 Pairs each array-kernel solver with its ``*-seed`` reference twin on the
 same synthetic instances the solver benchmarks use, and records
 
-* best-of-N wall time per solver, measured on a warm instance with
-  tracemalloc OFF (tracemalloc roughly doubles allocation-heavy solver
-  runtimes; timing and memory must come from separate runs);
-* peak traced memory per solver from a separate tracemalloc'd run;
+* cold wall time per solver, tracemalloc OFF: every timed solve runs on
+  a freshly generated instance whose arrays are built outside the timer,
+  so the incremental engine starts empty, as in a process that never
+  solved it.  The twins run as interleaved (kernel, seed) pairs, the
+  side going first alternating pair to pair, so both sides see the same
+  spells of host speed; ``wall_time_s`` is each side's median and
+  ``speedup`` the median of the per-pair ratios;
+* a labelled, unguarded ``warm_wall_s`` on the kernel side: the median
+  of memo-warm repeats on one instance (the delta re-solve's best case);
+* peak traced memory and the engine's profile counters from one more
+  cold run, with tracemalloc on;
 * the utility of both twins, asserted identical — a speedup over a
   different planning would be meaningless;
 * the independent-oracle verdict per cell (``repro.verify``): a ledger
   entry for an infeasible planning would be equally meaningless, so an
   oracle violation aborts the recording.
 
-Run directly (``PYTHONPATH=src python benchmarks/record_bench.py``) or
-through the bench suite (``pytest benchmarks/test_bench_solvers.py``),
-both of which write ``BENCH_solvers.json`` at the repo root.
+Run directly (``PYTHONPATH=src python benchmarks/record_bench.py``),
+which writes ``BENCH_solvers.json`` at the repo root unless ``--out``
+says otherwise.  Top-level blocks a run does not measure (``churn`` and
+``partition`` under ``--no-churn``/``--no-partition``, and the
+``serving_*`` blocks of ``tools/measure_serving.py``) carry over from
+the ledger already at the output path.
 """
 
 from __future__ import annotations
 
 import argparse
+import gc
 import json
 import math
 import os
 import platform
+import statistics
 import sys
 import time
 from typing import Dict, List, Optional
@@ -46,11 +58,15 @@ SCALE_DIMS = {
     "large": dict(num_events=120, num_users=2000, mean_capacity=30, grid_size=100),
 }
 
-#: Per-scale cap on timing repeats: the seed twins take seconds per
-#: solve at ``large``, so repeats are capped — but at 3, not 2: the
-#: kernel side converges instantly via the solve replay cache, and two
-#: warm repeats keep a single GC pause out of the best-of-N minimum.
+#: Per-scale cap on the (kernel, seed) pairs per twin cell.  On a
+#: 2-vCPU VM the median ratio of 15 pairs spread up to 17% over three
+#: recordings (small DeDPO: 1.57-1.87x) and of 25 pairs at most 10%
+#: (1.64-1.80x), so tiny and small take the full ``--repeats``.  The
+#: seed twins take 1-8 s per cold solve at ``large``, which stops at 3.
 SCALE_REPEAT_CAPS = {"large": 3}
+
+#: Pairs per twin cell when the caller names no count.
+DEFAULT_REPEATS = 25
 
 #: The churn scale (docs/dynamic.md): |U| = 10k users, 1% churn as a
 #: stream of user-level mutations (preference drift, budget updates,
@@ -107,31 +123,52 @@ def _build_instance(scale: str):
 SUPERVISED_TIMEOUT_S = 300.0
 
 
-def _time_solver(name: str, instance, repeats: int) -> Dict[str, object]:
-    """Best-of-``repeats`` wall time (no tracemalloc) + one memory run.
+def _fresh_instance(scale: str):
+    """A newly generated instance, arrays built, incremental engine empty."""
+    from repro.algorithms.base import warm_instance
+
+    instance = _build_instance(scale)
+    warm_instance(instance)
+    return instance
+
+
+def _cold_solve(name: str, scale: str):
+    """``(seconds, utility, instance)`` of one solve on a fresh instance.
+
+    The garbage of building the instance is collected before the clock
+    starts, so neither side pays for it.
+    """
+    from repro.algorithms.registry import make_solver
+
+    instance = _fresh_instance(scale)
+    solver = make_solver(name)
+    gc.collect()
+    start = time.perf_counter()
+    planning = solver.solve(instance)
+    elapsed = time.perf_counter() - start
+    return elapsed, round(float(planning.total_utility()), 6), instance
+
+
+def _side_row(
+    name: str, scale: str, times: List[float], utility: float, instance
+) -> Dict[str, object]:
+    """One side of a twin cell: cold median, memory, verdict, counters.
 
     Timing runs stay *direct* (no fork, no supervision) so the ledger
     measures the solver, not the service layer; a separate supervised
-    pass through :class:`repro.service.ResilientRunner` then produces
-    the oracle verdict plus the robustness bookkeeping fields
-    (``status``/``degraded_to``/``retries``/``resumed``).  A cell whose
-    supervised pass degrades or fails aborts the recording — a ledger
-    entry must describe the named solver on a verified plan.
+    pass through :class:`repro.service.ResilientRunner` on the last
+    timed instance then produces the oracle verdict plus the robustness
+    bookkeeping fields (``status``/``degraded_to``/``retries``/
+    ``resumed``).  A cell whose supervised pass degrades or fails aborts
+    the recording — a ledger entry must describe the named solver on a
+    verified plan.  Peak memory and the ``profile`` counters come from
+    one more cold run on a fresh instance (seed twins never touch the
+    engine, so they report at most their own call counts).
     """
-    from repro.algorithms.base import warm_instance
     from repro.algorithms.registry import make_solver
+    from repro.core import instrument
     from repro.service import ResilientRunner, ServiceConfig
 
-    warm_instance(instance)
-    best = float("inf")
-    utility: Optional[float] = None
-    for _ in range(repeats):
-        solver = make_solver(name)
-        start = time.perf_counter()
-        planning = solver.solve(instance)
-        elapsed = time.perf_counter() - start
-        best = min(best, elapsed)
-        utility = planning.total_utility()
     runner = ResilientRunner(ServiceConfig(timeout=SUPERVISED_TIMEOUT_S))
     cell = runner.run_cell(instance, name, 0)
     if cell["status"] != "ok":
@@ -140,17 +177,19 @@ def _time_solver(name: str, instance, repeats: int) -> Dict[str, object]:
             f"({cell.get('failures') or cell.get('error')}) — refusing to "
             "record an unverified ledger entry"
         )
-    if abs(cell["utility"] - round(float(utility), 6)) > 1e-6:
+    if abs(cell["utility"] - utility) > 1e-6:
         raise AssertionError(
             f"{name}: supervised run utility {cell['utility']} differs from "
             f"direct run utility {utility}"
         )
-    mem_run = make_solver(name).run(instance, measure_memory=True, validate=False)
+    traced = make_solver(name).run(
+        _fresh_instance(scale), measure_memory=True, profile=True
+    )
     row = {
         "solver": name,
-        "utility": round(float(utility), 6),
-        "wall_time_s": round(best, 6),
-        "peak_mem_kb": (mem_run.peak_memory_bytes or 0) // 1024,
+        "utility": utility,
+        "wall_time_s": round(statistics.median(times), 6),
+        "peak_mem_kb": (traced.peak_memory_bytes or 0) // 1024,
         "verified": bool(cell["verified"]),
         "oracle_violations": int(cell["oracle_violations"]),
         "status": cell["status"],
@@ -158,51 +197,56 @@ def _time_solver(name: str, instance, repeats: int) -> Dict[str, object]:
         "retries": int(cell["retries"]),
         "resumed": False,
     }
-    profile = _profile_counters(name, instance)
+    profile = {
+        key: value
+        for key, value in sorted(traced.counters.items())
+        if instrument.is_profile_key(key)
+    }
     if profile:
         row["profile"] = profile
     return row
 
 
-def _profile_counters(name: str, instance) -> Dict[str, int]:
-    """Incremental-engine diagnostics from one extra (warm) profiled run.
-
-    Runs after the timed repeats, so the counters describe the steady
-    state the best-of-N timing measured: on solvers wired to the engine
-    the schedule memo is hot and ``sched_cache_hits`` shows it; seed
-    twins report nothing (they never touch the engine).
-    """
+def _warm_wall(name: str, instance, repeats: int) -> float:
+    """Median of ``repeats`` memo-warm re-solves on one solved instance."""
     from repro.algorithms.registry import make_solver
-    from repro.core import instrument
 
-    run = make_solver(name).run(instance, profile=True)
+    times = []
+    for _ in range(repeats):
+        solver = make_solver(name)
+        start = time.perf_counter()
+        solver.solve(instance)
+        times.append(time.perf_counter() - start)
+    return round(statistics.median(times), 6)
+
+
+def _measure_twins(kernel: str, seed: str, scale: str, pairs: int):
+    """One ledger row: ``pairs`` interleaved cold (kernel, seed) solves."""
+    times: Dict[str, List[float]] = {kernel: [], seed: []}
+    last: Dict[str, tuple] = {}
+    ratios: List[float] = []
+    for index in range(pairs):
+        for name in (kernel, seed) if index % 2 == 0 else (seed, kernel):
+            elapsed, utility, instance = _cold_solve(name, scale)
+            times[name].append(elapsed)
+            last[name] = (utility, instance)
+        ratios.append(times[seed][-1] / times[kernel][-1])
+    kernel_row = _side_row(kernel, scale, times[kernel], *last[kernel])
+    kernel_row["warm_wall_s"] = _warm_wall(kernel, last[kernel][1], pairs)
+    seed_row = _side_row(seed, scale, times[seed], *last[seed])
+    if kernel_row["utility"] != seed_row["utility"]:
+        raise AssertionError(
+            f"{kernel} vs {seed} at {scale}: utilities differ "
+            f"({kernel_row['utility']} != {seed_row['utility']})"
+        )
     return {
-        key: value
-        for key, value in sorted(run.counters.items())
-        if instrument.is_profile_key(key)
-    }
-
-
-def _profile_counters_cold(name: str, scale: str) -> Dict[str, int]:
-    """Engine counters from a profiled run on a fresh instance.
-
-    The warm ``profile`` block mostly shows the whole-solve replay
-    cache; Step 1's real work (memo misses, DP calls and states) only
-    happens on a cold engine, so these counters come from a separate
-    run on a freshly built instance — arrays warmed, engine cold.  The
-    block is diagnostic: no guard reads it.
-    """
-    from repro.algorithms.base import warm_instance
-    from repro.algorithms.registry import make_solver
-    from repro.core import instrument
-
-    instance = _build_instance(scale)
-    warm_instance(instance)
-    run = make_solver(name).run(instance, profile=True)
-    return {
-        key: value
-        for key, value in sorted(run.counters.items())
-        if instrument.is_profile_key(key)
+        "scale": scale,
+        "dims": SCALE_DIMS[scale],
+        "after": kernel_row,
+        "before": seed_row,
+        "pairs": pairs,
+        "pair_ratios": [round(ratio, 3) for ratio in ratios],
+        "speedup": round(statistics.median(ratios), 3),
     }
 
 
@@ -319,13 +363,11 @@ def record_partition() -> Dict[str, object]:
     monolithic solve of the same :data:`PARTITION_DIMS` clustered
     instance, best-of-:data:`PARTITION_REPEATS` with the two sides
     interleaved.  Every repeat regenerates the instance from the config
-    and both sides are timed *cold* — no ``warm_instance`` — for two
-    reasons: the whole-solve replay cache would turn a repeat on a
-    bit-identical warm instance into a cache lookup, and pre-warming
-    would move the monolithic side's dominant cost (the per-pair
-    Python cost-row build of the array layer) out of its timing while
-    the partitioned side still pays its full pipeline.  Cold
-    end-to-end is what a caller of either path actually experiences;
+    and both sides are timed *cold* — no ``warm_instance`` — because
+    pre-warming would move the monolithic side's dominant cost (the
+    per-pair Python cost-row build of the array layer) out of its
+    timing while the partitioned side still pays its full pipeline.
+    Cold end-to-end is what a caller of either path actually experiences;
     the partitioner's vectorised per-cell cost prefill is exactly the
     work this comparison is about.
 
@@ -416,27 +458,28 @@ def _summarise(results: List[Dict[str, object]]) -> Dict[str, object]:
     return summary
 
 
+def _load_ledger(path: str) -> Dict[str, object]:
+    """The ledger at ``path``, or ``{}`` when there is none to read."""
+    try:
+        with open(path) as handle:
+            ledger = json.load(handle)
+    except (OSError, ValueError):
+        return {}
+    return ledger if isinstance(ledger, dict) else {}
+
+
 def _attach_vs_previous(
-    results: List[Dict[str, object]], out_path: str
+    results: List[Dict[str, object]], previous: Dict[str, object]
 ) -> None:
     """Compare each cell's wall time against the ledger being replaced.
 
     ``wall_time_ratio`` > 1 means this recording is faster than the
-    committed one for the same (scale, solver) — the measure the
-    incremental-engine acceptance gate (and the CI perf guard's
-    inverse) reads.  Skipped silently when no prior ledger exists.
+    previous one for the same (scale, solver).
     """
-    if not os.path.exists(out_path):
-        return
-    try:
-        with open(out_path) as handle:
-            previous = json.load(handle)
-        prev_map = {
-            (str(e["scale"]), str(e["after"]["solver"])): e
-            for e in previous.get("results", [])
-        }
-    except Exception:
-        return
+    prev_map = {
+        (str(e["scale"]), str(e["after"]["solver"])): e
+        for e in previous.get("results", [])
+    }
     for entry in results:
         prev = prev_map.get((str(entry["scale"]), str(entry["after"]["solver"])))
         if prev is None:
@@ -453,62 +496,49 @@ def _attach_vs_previous(
 
 def record(
     scales: List[str],
-    repeats: int = 3,
+    repeats: int = DEFAULT_REPEATS,
     out_path: str = DEFAULT_OUT,
     churn: bool = False,
     partition: bool = False,
 ) -> Dict[str, object]:
     """Measure every twin at every scale and write the JSON ledger.
 
-    With ``churn=True`` the payload also gains the ``churn`` block of
-    :func:`record_churn`, and with ``partition=True`` the ``partition``
-    block of :func:`record_partition` (each several minutes of extra
-    measurement; the bench-suite smoke path leaves both off, the full
-    recording and the CI perf guard turn both on).
+    ``repeats`` is the number of (kernel, seed) pairs per cell, capped
+    per scale by :data:`SCALE_REPEAT_CAPS`.  With ``churn=True`` the
+    payload also gains the ``churn`` block of :func:`record_churn`, and
+    with ``partition=True`` the ``partition`` block of
+    :func:`record_partition` (each several minutes of extra
+    measurement; the CI perf guard turns both on).  Every other
+    top-level block of the ledger already at ``out_path`` carries over
+    unchanged.
     """
     results: List[Dict[str, object]] = []
     for scale in scales:
-        instance = _build_instance(scale)
-        scale_repeats = min(repeats, SCALE_REPEAT_CAPS.get(scale, repeats))
+        pairs = min(repeats, SCALE_REPEAT_CAPS.get(scale, repeats))
         for kernel, seed in SOLVER_PAIRS:
-            kernel_row = _time_solver(kernel, instance, scale_repeats)
-            kernel_row["profile_cold"] = _profile_counters_cold(kernel, scale)
-            seed_row = _time_solver(seed, instance, scale_repeats)
-            if kernel_row["utility"] != seed_row["utility"]:
-                raise AssertionError(
-                    f"{kernel} vs {seed} at {scale}: utilities differ "
-                    f"({kernel_row['utility']} != {seed_row['utility']})"
-                )
-            results.append(
-                {
-                    "scale": scale,
-                    "dims": SCALE_DIMS[scale],
-                    "after": kernel_row,
-                    "before": seed_row,
-                    "speedup": round(
-                        seed_row["wall_time_s"] / kernel_row["wall_time_s"], 3
-                    ),
-                }
-            )
-        del instance
-    _attach_vs_previous(results, out_path)
+            results.append(_measure_twins(kernel, seed, scale, pairs))
+    previous = _load_ledger(out_path)
+    _attach_vs_previous(results, previous)
     payload = {
         "description": (
             "Array-kernel solvers (with the incremental scheduling engine — "
-            "Lemma 1 candidate index, dirty-set schedule memo, whole-solve "
-            "replay cache, see docs/performance.md) vs their seed "
-            "reference twins: best-of-N "
-            f"wall time without tracemalloc (N = {repeats}, capped per "
-            "scale), peak traced memory from a separate run, identical "
-            "utilities asserted, every planning verified by the independent "
+            "Lemma 1 candidate index and dirty-set schedule memo, see "
+            "docs/performance.md) vs their seed reference twins, timed "
+            "cold without tracemalloc: every solve runs on a freshly "
+            "generated instance (arrays built outside the timer, engine "
+            "empty), as interleaved (kernel, seed) pairs whose first side "
+            f"alternates (up to {repeats} pairs per cell, capped per scale; "
+            "'pairs' and 'pair_ratios' per row). wall_time_s is each "
+            "side's median, speedup the median per-pair ratio, and the "
+            "summary geomean uses it. The kernel side's 'warm_wall_s' is "
+            "the median of memo-warm repeats on one solved instance; no "
+            "guard reads it. Peak traced memory and 'profile' counters "
+            "come from one more cold run, identical utilities are "
+            "asserted, and every planning is verified by the independent "
             "repro.verify oracle via a supervised repro.service pass (per-"
-            "cell status/degraded_to/retries/resumed recorded; non-ok cells "
-            "abort the recording). Repeats share one warm instance, so "
-            "best-of-N times include memo and replay-cache reuse; per-cell "
-            "'profile' counters record that warm steady state, "
-            "'profile_cold' records a fresh-instance run (where Step 1 "
-            "does its work), and 'vs_previous' compares against the "
-            "replaced ledger."
+            "cell status/degraded_to/retries/resumed recorded; non-ok "
+            "cells abort the recording). 'vs_previous' compares against "
+            "the replaced ledger."
         ),
         "python": platform.python_version(),
         "machine": platform.machine(),
@@ -520,8 +550,10 @@ def record(
         payload["churn"] = record_churn()
     if partition:
         payload["partition"] = record_partition()
+    for key, block in previous.items():
+        payload.setdefault(key, block)
     with open(out_path, "w") as handle:
-        json.dump(payload, handle, indent=2)
+        json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
     return payload
 
@@ -534,7 +566,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=["tiny", "small", "large"],
         choices=sorted(SCALE_DIMS),
     )
-    parser.add_argument("--repeats", type=int, default=3)
+    parser.add_argument(
+        "--repeats",
+        type=int,
+        default=DEFAULT_REPEATS,
+        help="(kernel, seed) pairs per twin cell, capped per scale",
+    )
     parser.add_argument("--out", default=DEFAULT_OUT)
     parser.add_argument(
         "--no-churn",
@@ -563,7 +600,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"speedup {entry['speedup']:.2f}x  "
             f"utility {entry['after']['utility']}"
         )
-    churn_block = payload.get("churn")
+    churn_block = None if args.no_churn else payload["churn"]
     if churn_block:
         print(
             f"[churn] {churn_block['algorithm']} |U|={churn_block['dims']['num_users']} "
@@ -572,7 +609,7 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{churn_block['cold_mean_s'] * 1000:.0f} ms  "
             f"speedup {churn_block['speedup']:.1f}x"
         )
-    partition_block = payload.get("partition")
+    partition_block = None if args.no_partition else payload["partition"]
     if partition_block:
         print(
             f"[partition] {partition_block['algorithm']}+grid"

@@ -45,18 +45,18 @@ def test_instance_generation(benchmark, bench_scale):
     assert inst.num_events == _SCALE_DIMS[bench_scale]["num_events"]
 
 
-def test_record_bench_ledger(bench_scale):
-    """Regenerate BENCH_solvers.json for the current scale.
+def test_record_bench_ledger(bench_scale, tmp_path):
+    """Record a one-scale ledger into a scratch file.
 
     Asserts (via record_bench itself) that every array-kernel solver
-    matches its seed twin's utility exactly; CI uploads the written
-    ledger as an artifact.  The ``paper`` scale is excluded — the seed
-    twins take hours there.
+    matches its seed twin's utility exactly.  The committed
+    BENCH_solvers.json is never touched.  The ``paper`` scale is
+    excluded — the seed twins take hours there.
     """
-    from benchmarks.record_bench import DEFAULT_OUT, SCALE_DIMS, record
+    from benchmarks.record_bench import SCALE_DIMS, record
 
     scale = bench_scale if bench_scale in SCALE_DIMS else "tiny"
-    payload = record([scale], repeats=1, out_path=DEFAULT_OUT)
+    payload = record([scale], repeats=1, out_path=str(tmp_path / "ledger.json"))
     assert payload["results"], "ledger must contain at least one pair"
     for entry in payload["results"]:
         assert entry["after"]["utility"] == entry["before"]["utility"]

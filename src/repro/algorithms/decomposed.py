@@ -129,28 +129,6 @@ class DecomposedSolver(Solver):
         num_users = instance.num_users
         engine = instance.arrays().engine()
         memo_kind = self._memo_kind
-        # Whole-solve replay: a solver is a pure function of the
-        # instance *content*, so a repeat run on the same content
-        # replays the recorded planning instead of re-executing Step 1.
-        # The key embeds the engine's content token (the build-cache
-        # fingerprint, refreshed on every repro.core.deltas mutation),
-        # so a mutated instance can never replay a pre-mutation solve.
-        replay_key: Optional[tuple] = None
-        if memo_kind is not None:
-            replay_key = (
-                self.name,
-                memo_kind,
-                getattr(
-                    self._single_scheduler,
-                    "__qualname__",
-                    repr(self._single_scheduler),
-                ),
-                engine.content_token(),
-            )
-            replayed = engine.replay_solution(replay_key)
-            if replayed is not None:
-                planning, self.counters = replayed
-                return planning
         pools = [
             _PseudoEventPool(instance.clamped_capacity(i)) for i in range(num_events)
         ]
@@ -302,8 +280,6 @@ class DecomposedSolver(Solver):
         if prof is not None:
             prof.add("sched_cache_hits", engine.memo.hits - memo_hits0)
             prof.add("sched_cache_misses", engine.memo.misses - memo_misses0)
-        if replay_key is not None:
-            engine.store_solution(replay_key, planning, self.counters)
         return planning
 
 

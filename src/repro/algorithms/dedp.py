@@ -48,14 +48,6 @@ class DeDP(Solver):
         num_users = instance.num_users
         num_events = instance.num_events
         engine = instance.arrays().engine()
-        # Whole-solve replay (see IncrementalEngine.replay_solution).
-        # Keyed on the content token so mutated instances never replay
-        # a pre-mutation planning.
-        replay_key = (self.name, "dp", dp_single.__qualname__, engine.content_token())
-        replayed = engine.replay_solution(replay_key)
-        if replayed is not None:
-            planning, self.counters = replayed
-            return planning
         # Line 1: clamp capacities to |U| before pseudo-event expansion.
         capacities = np.array(
             [instance.clamped_capacity(i) for i in range(num_events)], dtype=np.intp
@@ -148,5 +140,4 @@ class DeDP(Solver):
         if prof is not None:
             prof.add("sched_cache_hits", engine.memo.hits - memo_hits0)
             prof.add("sched_cache_misses", engine.memo.misses - memo_misses0)
-        engine.store_solution(replay_key, planning, self.counters)
         return planning

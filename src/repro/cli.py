@@ -23,6 +23,13 @@ from .algorithms.registry import available_solvers
 from .experiments.figures import SCALES, get_spec, list_specs
 from .experiments.harness import run_sweep
 from .experiments.reporting import format_panels, rows_to_csv
+from .service.worker import (
+    add_server_options,
+    install_drain_handlers,
+    serve_until_signalled,
+    server_config,
+    server_option_argv,
+)
 
 
 def _cmd_list(_args) -> int:
@@ -510,41 +517,14 @@ def _cmd_serve(args) -> int:
     """
     if args.workers > 0:
         return _serve_multiworker(args)
-    from .service.admission import AdmissionConfig
-    from .service.ladder import DEFAULT_LADDER, parse_ladder
-    from .service.server import ServerConfig, make_server
-    from .service.worker import install_drain_handlers, serve_until_signalled
+    from .service.server import make_server
 
     try:
-        ladder = parse_ladder(args.ladder) if args.ladder else list(DEFAULT_LADDER)
+        config = server_config(args)
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2
-    try:
-        admission = AdmissionConfig(
-            max_inflight=args.max_inflight,
-            queue_depth=args.queue_depth,
-            deadline_cap_s=args.deadline_cap,
-            default_deadline_s=min(args.default_deadline, args.deadline_cap),
-            rate_burst=args.rate_burst,
-            rate_per_s=args.rate,
-            max_body_bytes=args.max_body_bytes,
-            ladder=tuple(ladder),
-        )
-    except ValueError as exc:
-        print(str(exc), file=sys.stderr)
-        return 2
-    config = ServerConfig(
-        admission=admission,
-        default_algorithm=args.algorithm,
-        memory_limit_bytes=(
-            None if args.memory_limit_mb <= 0 else args.memory_limit_mb << 20
-        ),
-        in_process=args.in_process,
-        log_requests=args.verbose,
-        journal_dir=args.journal_dir,
-        snapshot_every=max(0, args.snapshot_every),
-    )
+    admission = config.admission
     server = make_server(args.host, args.port, config)
     # Before the announce line: a SIGTERM racing the startup must
     # already find the drain path installed.
@@ -576,27 +556,11 @@ def _serve_multiworker(args) -> int:
     from .service.router import PlanningRouter, RouterConfig
     from .service.supervisor import Supervisor, SupervisorConfig
 
-    worker_args = [
-        "--max-inflight", str(args.max_inflight),
-        "--queue-depth", str(args.queue_depth),
-        "--deadline-cap", str(args.deadline_cap),
-        "--default-deadline", str(args.default_deadline),
-        "--max-body-bytes", str(args.max_body_bytes),
-        "--algorithm", args.algorithm,
-        "--memory-limit-mb", str(args.memory_limit_mb),
-        "--snapshot-every", str(max(0, args.snapshot_every)),
-    ]
-    if args.ladder:
-        worker_args += ["--ladder", args.ladder]
-    if args.in_process:
-        worker_args.append("--in-process")
-    if args.verbose:
-        worker_args.append("--verbose")
     supervisor = Supervisor(
         SupervisorConfig(
             num_workers=args.workers,
             journal_root=args.journal_dir,
-            worker_args=tuple(worker_args),
+            worker_args=tuple(server_option_argv(args)),
         )
     )
     supervisor.start()
@@ -836,85 +800,7 @@ def build_parser() -> argparse.ArgumentParser:
     serve.add_argument(
         "--port", type=int, default=8321, help="0 picks an ephemeral port"
     )
-    serve.add_argument(
-        "--max-inflight",
-        type=int,
-        default=2,
-        metavar="N",
-        help="concurrent solves (each may fork one supervised child)",
-    )
-    serve.add_argument(
-        "--queue-depth",
-        type=int,
-        default=8,
-        metavar="N",
-        help="requests allowed to wait for a solve slot; beyond this "
-        "new requests are shed with 503",
-    )
-    serve.add_argument(
-        "--deadline-cap",
-        type=float,
-        default=30.0,
-        metavar="SECONDS",
-        help="server-side clamp on per-request deadline_s",
-    )
-    serve.add_argument(
-        "--default-deadline",
-        type=float,
-        default=10.0,
-        metavar="SECONDS",
-        help="deadline applied when the request sends none",
-    )
-    serve.add_argument(
-        "--rate",
-        type=float,
-        default=0.0,
-        metavar="RPS",
-        help="token-bucket refill rate in requests/second (0 = no limit)",
-    )
-    serve.add_argument(
-        "--rate-burst",
-        type=float,
-        default=0.0,
-        metavar="N",
-        help="token-bucket capacity (0 = rate limiting disabled)",
-    )
-    serve.add_argument(
-        "--max-body-bytes",
-        type=int,
-        default=8 << 20,
-        metavar="BYTES",
-        help="largest acceptable /solve body (413 above)",
-    )
-    serve.add_argument(
-        "--ladder",
-        default=None,
-        metavar="SPEC",
-        help="degradation ladder used under queue pressure and rung "
-        "failure (default: DeDPO+RG -> DeGreedy -> RatioGreedy)",
-    )
-    serve.add_argument(
-        "--algorithm",
-        default="DeDPO+RG",
-        help="solver used when a request names none",
-    )
-    serve.add_argument(
-        "--memory-limit-mb",
-        type=int,
-        default=2048,
-        metavar="MB",
-        help="address-space rlimit per forked solver child "
-        "(0 disables the guard)",
-    )
-    serve.add_argument(
-        "--in-process",
-        action="store_true",
-        help="solve inline instead of forking (weaker containment; "
-        "the fork-less platform fallback)",
-    )
-    serve.add_argument(
-        "--verbose", action="store_true", help="log each request to stderr"
-    )
+    add_server_options(serve)
     serve.add_argument(
         "--workers",
         type=int,
@@ -930,15 +816,6 @@ def build_parser() -> argparse.ArgumentParser:
         help="journal registered instances + mutations under DIR so a "
         "restarted server (or crashed worker) replays them and resumes "
         "the same instance ids (see docs/serving.md)",
-    )
-    serve.add_argument(
-        "--snapshot-every",
-        type=int,
-        default=64,
-        metavar="N",
-        help="compact each instance journal to a snapshot record after "
-        "N applied mutation batches, bounding crash-recovery replay "
-        "(0 disables the cadence; POST /compact still works)",
     )
     serve.set_defaults(func=_cmd_serve)
     return parser

@@ -1,12 +1,11 @@
 """The incremental scheduling engine: candidate index + schedule memo.
 
 The decomposition solvers (Algorithms 3/4) call the single-user
-scheduler once per user, and whole *solves* repeat on the same instance
-— the +RG composition re-runs its base, the verification pass re-runs
-the cell, the degradation ladder re-runs rungs, benchmarks repeat for
-stable timings.  Two per-instance structures eliminate the redundant
-work while keeping plannings **bit-identical** (golden-tested against
-the ``*-seed`` twins):
+scheduler once per user, and solves repeat on the same instance — the
++RG composition re-runs its base, the degradation ladder re-runs rungs,
+a delta re-solve follows each mutation.  Two per-instance structures
+cut the redundant work while keeping plannings **bit-identical**
+(golden-tested against the ``*-seed`` twins):
 
 :class:`CandidateIndex`
     For every user, the candidate events surviving Lemma 1 (round-trip
@@ -29,6 +28,8 @@ the ``*-seed`` twins):
     ``(instance, user, view)``, so the reuse is exact; a dirty user
     (any candidate utility changed) simply misses and recomputes.  Only
     the last view is kept, bounding the memo at ``O(|U|)`` entries.
+    A repeat solve still runs Step 1's scan and Step 2; only the
+    clean users' scheduler calls are skipped.
 
 :class:`IncrementalEngine` bundles the two; solvers obtain it through
 :meth:`repro.core.arrays.InstanceArrays.engine`, so it is built lazily
@@ -258,71 +259,21 @@ class ScheduleMemo:
 class IncrementalEngine:
     """The per-instance incremental state shared by the solvers."""
 
-    __slots__ = (
-        "instance",
-        "memo",
-        "_index",
-        "_index_built",
-        "_solutions",
-        "version",
-        "_content_token",
-    )
+    __slots__ = ("instance", "memo", "_index", "_index_built")
 
     def __init__(self, instance: "USEPInstance"):
         self.instance = instance
         self.memo = ScheduleMemo()
         self._index: Optional[CandidateIndex] = None
         self._index_built = False
-        #: Whole-solve replay cache: ``key -> (schedules, counters)``.
-        self._solutions: Dict[tuple, Tuple[Tuple[Tuple[int, Tuple[int, ...]], ...], Dict[str, int]]] = {}
-        #: Mutations applied to the instance since this engine was
-        #: built (mirrors ``instance.version`` advances routed through
-        #: :func:`note_mutation`).
-        self.version = 0
-        self._content_token: Optional[str] = None
-
-    def content_token(self) -> str:
-        """A token that changes whenever the instance's content does.
-
-        The build-cache content fingerprint when the cost model is
-        fingerprintable, else a per-``(engine, version)`` fallback that
-        still changes on every mutation.  Replay-cache keys include it
-        (see :class:`~repro.algorithms.decomposed.DecomposedSolver`),
-        so a whole-solve replay recorded before a mutation can never be
-        served after it — the post-mutation key differs by construction.
-        """
-        token = self._content_token
-        if token is None:
-            from . import build_cache
-
-            fingerprint = build_cache.instance_fingerprint(self.instance)
-            if fingerprint is None:
-                fingerprint = f"unfingerprintable-{id(self)}-v{self.version}"
-            token = self._content_token = fingerprint
-        return token
-
-    def note_mutation(self) -> None:
-        """Invalidate everything keyed on pre-mutation content.
-
-        Called by :mod:`repro.core.deltas` after every applied
-        mutation: bumps :attr:`version`, forgets the memoised content
-        token (the next :func:`content_token` re-fingerprints the
-        mutated content) and drops the whole-solve replay cache — its
-        recorded plannings describe the pre-mutation instance and their
-        keys are unreachable under the new token anyway.
-        """
-        self.version += 1
-        self._content_token = None
-        self._solutions.clear()
 
     def forget_solves(self) -> None:
-        """Empty the schedule memo and the whole-solve replay cache.
+        """Empty the schedule memo.
 
         The candidate index stays (it depends on content alone), so the
         next solve runs Step 1 cold, as in a process that never solved.
         """
         self.memo = ScheduleMemo()
-        self._solutions.clear()
 
     @property
     def index(self) -> Optional[CandidateIndex]:
@@ -360,50 +311,6 @@ class IncrementalEngine:
             self.instance, user_id, candidates, utilities, presorted=presorted
         )
         return self.memo.put(kind, user_id, view, schedule)
-
-    # ------------------------------------------------------------------
-    # whole-solve replay cache
-    # ------------------------------------------------------------------
-    def replay_solution(self, key: tuple):
-        """Replay a cached solve, or None when the key is unknown.
-
-        A solver is a pure function of ``(instance content, solver
-        identity)`` — every algorithm here is deterministic, and keys
-        embed :func:`content_token` so mutated content can never hit a
-        pre-mutation entry — so once a solver has run on this instance
-        its entire planning can be replayed from the recorded per-user
-        schedules without touching Step 1 at all.  Replay counts one
-        memo hit per user: by definition every user is clean (nothing
-        on the instance changed), which keeps the engine's observable
-        hit accounting identical to a per-user warm re-solve.
-
-        Returns ``(planning, counters)``; the planning is built fresh,
-        so callers may mutate it (the +RG pass does) without touching
-        the cache, and ``counters`` is a copy for the same reason.
-        """
-        entry = self._solutions.get(key)
-        if entry is None:
-            return None
-        from .planning import Planning
-
-        schedules, counters = entry
-        planning = Planning(self.instance)
-        for user_id, event_ids in schedules:
-            planning.set_schedule(user_id, list(event_ids))
-        self.memo.hits += self.instance.num_users
-        prof = instrument.active()
-        if prof is not None:
-            prof.add("sched_solve_replays")
-            prof.add("sched_cache_hits", self.instance.num_users)
-        return planning, dict(counters)
-
-    def store_solution(self, key: tuple, planning, counters: Dict[str, int]) -> None:
-        """Record a finished solve for replay (copies everything)."""
-        schedules = tuple(
-            (user_id, tuple(event_ids))
-            for user_id, event_ids in sorted(planning.as_dict().items())
-        )
-        self._solutions[key] = (schedules, dict(counters))
 
 
 def get_engine(instance: "USEPInstance") -> IncrementalEngine:

@@ -21,11 +21,9 @@ place** while keeping every derived structure consistent:
   for user-level edits, vectorised rebuild for event-set changes) and
   :class:`~repro.core.candidates.ScheduleMemo` (exact eviction of the
   *dirty* users, id remapping for drops);
-* the staleness-sensitive caches: the whole-solve replay cache and
-  memoised content fingerprint are invalidated via
-  :meth:`IncrementalEngine.note_mutation`, and the cross-cell
-  build-cache registration is dropped
-  (:func:`repro.core.build_cache.forget`) so the pre-mutation
+* the staleness-sensitive caches: the instance's memoised content
+  fingerprint is reset, and the cross-cell build-cache registration is
+  dropped (:func:`repro.core.build_cache.forget`) so the pre-mutation
   fingerprint can never adopt the mutated object.
 
 **Dirty users.**  Every mutation reports the exact set of users whose
@@ -322,13 +320,11 @@ def _survivor_set(instance: USEPInstance, event_id: int) -> FrozenSet[int]:
     )
 
 
-def _commit(instance: USEPInstance, engine) -> None:
+def _commit(instance: USEPInstance) -> None:
     """Post-mutation invalidation shared by every (non-noop) mutation."""
     build_cache.forget(instance)
     instance._fingerprint_cache = None  # noqa: SLF001
     instance._version += 1  # noqa: SLF001
-    if engine is not None:
-        engine.note_mutation()
 
 
 def _noop(instance: USEPInstance, kind: str) -> DeltaReport:
@@ -411,7 +407,7 @@ def _apply_utility_change(
         # mu > 0 cells regardless of feasibility.
         index.refresh_user(arrays, u)
     memo_evicted = engine.memo.evict_users(dirty) if engine is not None else 0
-    _commit(instance, engine)
+    _commit(instance)
     return DeltaReport(path, dirty, instance.version, memo_evicted)
 
 
@@ -443,7 +439,7 @@ def _apply_budget_change(
     # replay a schedule computed under the old budget.
     dirty = frozenset((u,))
     memo_evicted = engine.memo.evict_users(dirty) if engine is not None else 0
-    _commit(instance, engine)
+    _commit(instance)
     return DeltaReport(path, dirty, instance.version, memo_evicted)
 
 
@@ -471,7 +467,7 @@ def _apply_capacity_change(
     instance.events = tuple(events)
     _, engine, _ = _layers(instance)
     memo_evicted = engine.memo.evict_users(dirty) if engine is not None else 0
-    _commit(instance, engine)
+    _commit(instance)
     return DeltaReport(path, dirty, instance.version, memo_evicted)
 
 
@@ -496,7 +492,7 @@ def _apply_add_user(instance: USEPInstance, mutation: AddUser) -> DeltaReport:
     instance._mu = np.concatenate(  # noqa: SLF001
         [instance._mu, column[:, None]], axis=1  # noqa: SLF001
     )
-    arrays, engine, index = _layers(instance)
+    arrays, _, index = _layers(instance)
     if arrays is not None:
         arrays.mu = instance.utility_matrix()
         arrays.budgets = np.append(arrays.budgets, float(user.budget))
@@ -517,7 +513,7 @@ def _apply_add_user(instance: USEPInstance, mutation: AddUser) -> DeltaReport:
     if index is not None:
         index.append_user(arrays)
     dirty = frozenset((new_id,))
-    _commit(instance, engine)
+    _commit(instance)
     return DeltaReport(path, dirty, instance.version)
 
 
@@ -555,7 +551,7 @@ def _apply_drop_user(instance: USEPInstance, mutation: DropUser) -> DeltaReport:
     if engine is not None:
         memo_evicted = engine.memo.evict_users(frozenset((u,)))
         engine.memo.drop_user(u)
-    _commit(instance, engine)
+    _commit(instance)
     # Remaining users' candidate views are unchanged (their ids shift,
     # their content does not), so nobody re-solves.
     return DeltaReport(path, frozenset(), instance.version, memo_evicted)
@@ -621,7 +617,7 @@ def _apply_add_event(instance: USEPInstance, mutation: AddEvent) -> DeltaReport:
     memo_evicted = 0
     if engine is not None:
         memo_evicted = engine.memo.evict_users(dirty)
-    _commit(instance, engine)
+    _commit(instance)
     return DeltaReport(
         path, dirty, instance.version, memo_evicted, index_rebuilt
     )
@@ -663,7 +659,7 @@ def _apply_drop_event(
     if engine is not None:
         memo_evicted = engine.memo.evict_users(dirty)
         memo_evicted += engine.memo.remap_dropped_event(v)
-    _commit(instance, engine)
+    _commit(instance)
     return DeltaReport(
         path, dirty, instance.version, memo_evicted, index_rebuilt
     )

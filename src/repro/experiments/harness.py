@@ -257,7 +257,7 @@ def _run_parallel_cell(task: Tuple[int, int]) -> Dict[str, object]:
         # same worker with the same fingerprint, so later algorithms
         # adopt the first build's arrays and candidate index instead
         # of re-deriving them (see docs/performance.md); _cell_row
-        # empties the memo and replay cache they come with.
+        # empties the memo they come with.
         instance, cache_hit = build_cache.get_or_register(instance)
     except Exception:
         return _error_rows_for_point(

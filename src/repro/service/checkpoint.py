@@ -5,7 +5,8 @@ journal attached, :func:`~repro.experiments.harness.run_sweep` appends
 each completed cell row to disk *as it finishes* (one JSON object per
 line, flushed and fsync'd, so a SIGKILL can lose at most the cell in
 flight), and a ``--resume`` run replays the journal and executes only
-the missing cells.
+the missing cells.  Before it appends, resume cuts a torn final line
+(:func:`repair_tail`), so the next row starts on a line of its own.
 
 Format (``docs/robustness.md`` has the full description)::
 
@@ -117,22 +118,23 @@ class SweepJournal:
         }
         existing: Dict[CellKey, Dict[str, object]] = {}
         exists = os.path.exists(path) and os.path.getsize(path) > 0
-        if exists:
-            if not resume:
-                raise JournalMismatchError(
-                    f"journal {path!r} already exists; pass resume=True "
-                    "(--resume) to continue it or remove the file"
-                )
-            on_disk_header, existing = cls._load(path)
-            cls._check_header(path, on_disk_header, header)
-        journal = cls(path, header, existing)
-        journal._handle = open(path, "a")
+        if exists and not resume:
+            raise JournalMismatchError(
+                f"journal {path!r} already exists; pass resume=True "
+                "(--resume) to continue it or remove the file"
+            )
+        handle = open(path, "a")
         try:
-            cls._lock(journal._handle, path)
-        except JournalLockedError:
-            journal._handle.close()
-            journal._handle = None
+            cls._lock(handle, path)
+            if exists:
+                on_disk_header, existing = cls._load(path)
+                cls._check_header(path, on_disk_header, header)
+                repair_tail(path)
+        except BaseException:
+            handle.close()
             raise
+        journal = cls(path, header, existing)
+        journal._handle = handle
         if not exists:
             journal._write_line(header)
         return journal
@@ -218,6 +220,36 @@ class SweepJournal:
         self.close()
 
 
+def repair_tail(path: str) -> None:
+    """Make a JSONL journal end on a whole record before appending to it.
+
+    Replay skips a final line that does not decode: the torn write of a
+    killed run.  A record appended after it would be glued onto that
+    fragment, so the next replay would drop it too, and once one more
+    record follows, the glued line sits mid-file as corruption.  So
+    before a journal is reopened for appending, an undecodable final
+    line is cut, and a decodable final line that lacks its newline gets
+    one.  The records on disk are then exactly the ones replay applied,
+    and the next record starts on a line of its own.
+    """
+    with open(path, "rb+") as handle:
+        data = handle.read()
+        end = len(data.rstrip())
+        start = data.rfind(b"\n", 0, end) + 1
+        if start == end:
+            return
+        try:
+            json.loads(data[start:end])
+        except ValueError:  # JSONDecodeError, or a cut multi-byte char
+            handle.truncate(start)
+        else:
+            if data.endswith(b"\n"):
+                return
+            handle.write(b"\n")
+        handle.flush()
+        os.fsync(handle.fileno())
+
+
 def load_rows(path: str) -> List[Dict[str, object]]:
     """All journalled cell rows, in journal (completion) order."""
     rows: List[Dict[str, object]] = []
@@ -241,21 +273,25 @@ def canonical_bytes(path: str, strip: Sequence[str] = TIMING_FIELDS) -> bytes:
     Two runs with identical inputs (and identical fault plans) must
     produce identical canonical bytes — the chaos determinism contract.
     Cell entries are kept in completion order; keys are sorted by the
-    serialiser.
+    serialiser.  A torn final line is skipped, as :func:`load_rows`
+    skips it.
     """
-    lines: List[bytes] = []
     with open(path) as handle:
-        for line in handle:
-            line = line.strip()
-            if not line:
-                continue
-            entry = json.loads(line)
-            if entry.get("kind") == "cell":
-                entry = dict(entry)
-                entry["row"] = {
-                    k: v for k, v in entry["row"].items() if k not in strip
-                }
-            lines.append(json.dumps(entry, sort_keys=True).encode())
+        records = [line.strip() for line in handle if line.strip()]
+    lines: List[bytes] = []
+    for index, record in enumerate(records):
+        try:
+            entry = json.loads(record)
+        except json.JSONDecodeError:
+            if index == len(records) - 1:
+                break  # the torn tail of a killed run
+            raise
+        if entry.get("kind") == "cell":
+            entry = dict(entry)
+            entry["row"] = {
+                k: v for k, v in entry["row"].items() if k not in strip
+            }
+        lines.append(json.dumps(entry, sort_keys=True).encode())
     return b"\n".join(lines) + b"\n"
 
 

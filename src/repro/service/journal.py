@@ -30,6 +30,7 @@ idioms — header fingerprint, fsync per record, torn-tail tolerance)::
   twice (crash between fsync and ack, client retried) applies once.
 * A SIGKILL can tear at most the final line; replay tolerates exactly
   that — a torn *interior* line means real corruption and fails loudly.
+  :meth:`InstanceJournal.reopen` cuts the torn line before appending.
 
 Two robustness layers on top of the PR 8 format:
 
@@ -64,7 +65,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.deltas import apply_mutation
 from ..core.exceptions import InvalidInstanceError
 from ..io import instance_from_dict, mutation_from_dict
-from .checkpoint import JournalMismatchError
+from .checkpoint import JournalMismatchError, repair_tail
 
 INSTANCE_JOURNAL_VERSION = 1
 
@@ -190,9 +191,15 @@ class InstanceJournal:
 
     @classmethod
     def reopen(cls, path: str) -> "InstanceJournal":
-        """Reattach to an existing journal for appending (after replay)."""
+        """Reattach to an existing journal for appending (after replay).
+
+        A torn final line, which replay skipped, is cut first
+        (:func:`~repro.service.checkpoint.repair_tail`): appended after
+        it, the next record would be glued onto the fragment and lost.
+        """
         io = _active_io()
         try:
+            repair_tail(path)
             handle = io.open(path, "a")
         except OSError as exc:
             journal = cls(path, None)

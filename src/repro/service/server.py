@@ -25,7 +25,7 @@ Request path::
   decoded instance is swapped for its registered twin in the cross-
   cell build cache, whose arrays and candidate index the parent builds
   before forking, so the child inherits them through copy-on-write.
-  The schedule memo and replay cache fill in the child and die with it.
+  The schedule memo fills in the child and dies with it.
 * Every plan is gated by the independent oracle
   (:func:`repro.verify.oracle.verify_schedules`) before it is
   returned; an infeasible plan counts as a rung failure and the next

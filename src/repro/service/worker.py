@@ -97,42 +97,91 @@ def serve_until_signalled(
     return 0
 
 
-def build_worker_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="repro-usep-worker",
-        description="One supervised worker of the planning service.",
-    )
-    parser.add_argument("--host", default="127.0.0.1")
-    parser.add_argument("--port", type=int, default=0)
-    parser.add_argument("--worker-id", default="w0")
-    parser.add_argument("--journal-dir", default=None)
-    parser.add_argument("--max-inflight", type=int, default=2)
-    parser.add_argument("--queue-depth", type=int, default=8)
-    parser.add_argument("--deadline-cap", type=float, default=30.0)
-    parser.add_argument("--default-deadline", type=float, default=10.0)
-    parser.add_argument("--max-body-bytes", type=int, default=8 << 20)
-    parser.add_argument("--max-instances", type=int, default=64)
-    parser.add_argument(
-        "--snapshot-every", type=int, default=DEFAULT_SNAPSHOT_EVERY,
-        help="compact an instance's journal after this many applied "
-        "batches (0 disables the cadence)",
-    )
-    parser.add_argument("--ladder", default=None)
-    parser.add_argument("--algorithm", default="DeDPO+RG")
-    parser.add_argument("--memory-limit-mb", type=int, default=2048)
-    parser.add_argument("--in-process", action="store_true")
-    parser.add_argument("--verbose", action="store_true")
-    return parser
+#: The options that configure a :class:`PlanningServer`, as
+#: ``(flag, argparse keywords)``.  ``repro-usep serve`` and the worker
+#: parser both declare them from here, and the router forwards every one
+#: to its workers (:func:`server_option_argv`), so a fleet worker admits
+#: and solves exactly as the single-process daemon would.
+SERVER_OPTIONS = (
+    ("--max-inflight", dict(
+        type=int, default=2, metavar="N",
+        help="concurrent solves (each may fork one supervised child)")),
+    ("--queue-depth", dict(
+        type=int, default=8, metavar="N",
+        help="requests allowed to wait for a solve slot; beyond this "
+        "new requests are shed with 503")),
+    ("--deadline-cap", dict(
+        type=float, default=30.0, metavar="SECONDS",
+        help="server-side clamp on per-request deadline_s")),
+    ("--default-deadline", dict(
+        type=float, default=10.0, metavar="SECONDS",
+        help="deadline applied when the request sends none")),
+    ("--rate", dict(
+        type=float, default=0.0, metavar="RPS",
+        help="token-bucket refill rate in requests/second (0 = no limit; "
+        "each fleet worker has its own bucket)")),
+    ("--rate-burst", dict(
+        type=float, default=0.0, metavar="N",
+        help="token-bucket capacity (0 = rate limiting disabled)")),
+    ("--max-body-bytes", dict(
+        type=int, default=8 << 20, metavar="BYTES",
+        help="largest acceptable /solve body (413 above)")),
+    ("--ladder", dict(
+        default=None, metavar="SPEC",
+        help="degradation ladder used under queue pressure and rung "
+        "failure (default: DeDPO+RG -> DeGreedy -> RatioGreedy)")),
+    ("--algorithm", dict(
+        default="DeDPO+RG", help="solver used when a request names none")),
+    ("--memory-limit-mb", dict(
+        type=int, default=2048, metavar="MB",
+        help="address-space rlimit per forked solver child "
+        "(0 disables the guard)")),
+    ("--in-process", dict(
+        action="store_true",
+        help="solve inline instead of forking (weaker containment; "
+        "the fork-less platform fallback)")),
+    ("--verbose", dict(
+        action="store_true", help="log each request to stderr")),
+    ("--snapshot-every", dict(
+        type=int, default=DEFAULT_SNAPSHOT_EVERY, metavar="N",
+        help="compact each instance journal to a snapshot record after "
+        "N applied mutation batches, bounding crash-recovery replay "
+        "(0 disables the cadence; POST /compact still works)")),
+)
 
 
-def config_from_args(args) -> ServerConfig:
-    """A worker's :class:`ServerConfig` from its parsed CLI args."""
+def add_server_options(parser: argparse.ArgumentParser) -> None:
+    """Declare every :data:`SERVER_OPTIONS` flag on ``parser``."""
+    for flag, keywords in SERVER_OPTIONS:
+        parser.add_argument(flag, **keywords)
+
+
+def server_option_argv(args) -> List[str]:
+    """The argv that gives a worker the server options of ``args``."""
+    argv: List[str] = []
+    for flag, keywords in SERVER_OPTIONS:
+        value = getattr(args, flag[2:].replace("-", "_"))
+        if keywords.get("action") == "store_true":
+            argv += [flag] if value else []
+        elif value is not None:
+            argv += [flag, str(value)]
+    return argv
+
+
+def server_config(args, **fields) -> ServerConfig:
+    """A :class:`ServerConfig` from parsed server options (plus
+    ``--journal-dir``); ``fields`` sets the rest.
+
+    Raises ``ValueError`` on a bad ladder or admission setting.
+    """
     ladder = parse_ladder(args.ladder) if args.ladder else list(DEFAULT_LADDER)
     admission = AdmissionConfig(
         max_inflight=args.max_inflight,
         queue_depth=args.queue_depth,
         deadline_cap_s=args.deadline_cap,
         default_deadline_s=min(args.default_deadline, args.deadline_cap),
+        rate_burst=args.rate_burst,
+        rate_per_s=args.rate,
         max_body_bytes=args.max_body_bytes,
         ladder=tuple(ladder),
     )
@@ -144,18 +193,33 @@ def config_from_args(args) -> ServerConfig:
         ),
         in_process=args.in_process,
         log_requests=args.verbose,
-        max_instances=args.max_instances,
         journal_dir=args.journal_dir,
-        instance_id_prefix=f"{args.worker_id}-",
-        worker_id=args.worker_id,
         snapshot_every=max(0, args.snapshot_every),
+        **fields,
     )
+
+
+def build_worker_parser() -> argparse.ArgumentParser:
+    parser = argparse.ArgumentParser(
+        prog="repro-usep-worker",
+        description="One supervised worker of the planning service.",
+    )
+    parser.add_argument("--host", default="127.0.0.1")
+    parser.add_argument("--port", type=int, default=0)
+    parser.add_argument("--worker-id", default="w0")
+    parser.add_argument("--journal-dir", default=None)
+    add_server_options(parser)
+    return parser
 
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_worker_parser().parse_args(argv)
     try:
-        config = config_from_args(args)
+        config = server_config(
+            args,
+            instance_id_prefix=f"{args.worker_id}-",
+            worker_id=args.worker_id,
+        )
     except ValueError as exc:
         print(str(exc), file=sys.stderr)
         return 2

@@ -438,7 +438,7 @@ def shrink_config(
 
 #: Solvers churn mode runs by default — the array-kernel trio whose
 #: Step 1 flows through the incremental engine (candidate index,
-#: schedule memo, replay cache) the delta layer invalidates.
+#: schedule memo) the delta layer maintains.
 CHURN_ALGORITHMS: Tuple[str, ...] = ("DeDP", "DeDPO", "DeGreedy")
 
 

@@ -213,3 +213,77 @@ class TestServiceFlags:
         assert main(base + ["--resume"]) == 0
         out = capsys.readouterr().out
         assert "replayed from journal" in out
+
+
+class TestServeForwardsServerOptions:
+    """``serve --workers N`` must give every worker the server options
+    the single-process daemon would use (admission, ladder, solver,
+    memory guard, journal cadence)."""
+
+    #: flag -> (argv value, or None for a switch; ServerConfig reader;
+    #: expected value).  Every value differs from its default.
+    NON_DEFAULT = {
+        "--max-inflight": ("3", lambda c: c.admission.max_inflight, 3),
+        "--queue-depth": ("5", lambda c: c.admission.queue_depth, 5),
+        "--deadline-cap": ("20", lambda c: c.admission.deadline_cap_s, 20.0),
+        "--default-deadline": (
+            "7", lambda c: c.admission.default_deadline_s, 7.0),
+        "--rate": ("5", lambda c: c.admission.rate_per_s, 5.0),
+        "--rate-burst": ("4", lambda c: c.admission.rate_burst, 4.0),
+        "--max-body-bytes": (
+            "4096", lambda c: c.admission.max_body_bytes, 4096),
+        "--ladder": ("DeGreedy,RatioGreedy", lambda c: c.admission.ladder,
+                     ("DeGreedy", "RatioGreedy")),
+        "--algorithm": ("DeGreedy", lambda c: c.default_algorithm,
+                        "DeGreedy"),
+        "--memory-limit-mb": (
+            "512", lambda c: c.memory_limit_bytes, 512 << 20),
+        "--in-process": (None, lambda c: c.in_process, True),
+        "--verbose": (None, lambda c: c.log_requests, True),
+        "--snapshot-every": ("9", lambda c: c.snapshot_every, 9),
+    }
+
+    class _Captured(Exception):
+        pass
+
+    def _argv(self):
+        argv = []
+        for flag, (value, _, _) in self.NON_DEFAULT.items():
+            argv += [flag] if value is None else [flag, value]
+        return argv
+
+    def _capture(self, monkeypatch, module, name, index):
+        seen = []
+
+        def stub(*args, **_kwargs):
+            seen.append(args[index])
+            raise self._Captured
+
+        monkeypatch.setattr(module, name, stub)
+        return seen
+
+    def test_worker_config_matches_single_process(self, monkeypatch):
+        import dataclasses
+
+        from repro.service import server, supervisor, worker
+
+        routed = self._capture(monkeypatch, supervisor, "Supervisor", 0)
+        with pytest.raises(self._Captured):
+            main(["serve", "--workers", "1", *self._argv()])
+        configs = self._capture(monkeypatch, server, "make_server", 2)
+        with pytest.raises(self._Captured):
+            main(["serve", *self._argv()])
+        monkeypatch.setattr(worker, "make_server", server.make_server)
+        with pytest.raises(self._Captured):
+            worker.main(["--worker-id", "w3", *routed[0].worker_args])
+        single, fleet = configs
+        for flag, (_, read, expected) in self.NON_DEFAULT.items():
+            assert read(single) == expected, flag
+            assert read(fleet) == expected, flag
+        assert (fleet.worker_id, fleet.instance_id_prefix) == ("w3", "w3-")
+        assert dataclasses.replace(
+            fleet, worker_id=None, instance_id_prefix=""
+        ) == single
+        assert set(self.NON_DEFAULT) == {
+            flag for flag, _ in worker.SERVER_OPTIONS
+        }

@@ -11,10 +11,10 @@ The contracts under test, per the module's own invalidation table:
   content, and a delta re-solve's planning bit-matches a cold solve;
 * **memo exactness** — a delta re-solve re-runs Step 1 only for the
   dirty users, everyone else memo-hits;
-* **staleness is impossible by construction** — the whole-solve replay
-  cache is keyed on the content token and can never replay a
-  pre-mutation planning, and the cross-cell build cache drops its
-  registration so the old fingerprint cannot adopt the mutated object;
+* **staleness is impossible by construction** — a re-solve after a
+  mutation plans the mutated content, and the cross-cell build cache
+  drops its registration so the old fingerprint cannot adopt the
+  mutated object;
 * **copies mutate like originals** — a deepcopy or pickle twin of a
   solved instance re-plans a mutation exactly like the live instance.
 """
@@ -385,47 +385,22 @@ class TestMemoExactness:
 
 
 class TestStalenessImpossibleByConstruction:
-    """Regressions for the replay/build-cache staleness hazards."""
+    """Regressions for the re-solve and build-cache staleness hazards."""
 
     def test_mutate_then_resolve_never_replays_premutation_planning(self):
-        # The whole-solve replay cache is keyed on the content token;
-        # before the fix it was keyed on (solver, kind, scheduler) only
-        # and would happily replay the pre-mutation planning.
         instance = make_instance()
-        engine = instance.arrays().engine()
         solver = make_solver("DeDPO")
         before = solver.solve(instance)
-        token_before = engine.content_token()
-        arrays = instance.arrays()
         # kill the utility of a scheduled pair: the planning must change
         user_id, events = next(
             (u, evs) for u, evs in sorted(before.as_dict().items()) if evs
         )
         apply_mutation(instance, UtilityChange(events[0], user_id, 0.0))
-        assert engine.content_token() != token_before
-        assert not engine._solutions  # replay cache emptied
         after = make_solver("DeDPO").solve(instance)
         assert canonical_planning_bytes(after) != canonical_planning_bytes(
             before
         )
         assert_delta_matches_cold(instance)
-
-    def test_content_token_stable_without_mutation(self):
-        instance = make_instance()
-        engine = instance.arrays().engine()
-        assert engine.content_token() == engine.content_token()
-
-    def test_replay_cache_hits_again_on_same_content(self):
-        instance = make_instance()
-        engine = instance.arrays().engine()
-        solver = make_solver("DeDPO")
-        solver.solve(instance)
-        assert engine._solutions  # recorded
-        apply_mutation(instance, BudgetChange(0, 0.125))
-        solver.solve(instance)
-        stored = len(engine._solutions)
-        solver.solve(instance)  # same content again: replay, no growth
-        assert len(engine._solutions) == stored
 
     def test_build_cache_never_adopts_mutated_object(self):
         # Register the live instance, snapshot its content, mutate it.
@@ -491,15 +466,12 @@ class TestNoops:
     def test_same_capacity_is_noop(self):
         instance = make_instance()
         make_solver("DeDPO").solve(instance)
-        engine = instance.arrays().engine()
-        solutions = dict(engine._solutions)
         report = apply_mutation(
             instance, CapacityChange(0, instance.events[0].capacity)
         )
         assert report.noop
         assert report.dirty_users == frozenset()
         assert instance.version == 0
-        assert engine._solutions == solutions  # replay cache intact
 
     def test_same_budget_is_noop(self):
         instance = make_instance()

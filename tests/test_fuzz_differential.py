@@ -277,16 +277,17 @@ class TestChurnFuzz:
     def test_broken_invalidation_is_caught_shrunk_and_replayable(
         self, tmp_path, monkeypatch
     ):
-        # Sabotage the staleness machinery: a no-op note_mutation leaves
-        # the whole-solve replay cache keyed on the stale content token,
-        # so delta solves replay pre-mutation plannings.  The churn
-        # fuzzer must catch the divergence, shrink the stream, and dump
-        # a repro that replays from the file alone.
-        from repro.core.candidates import IncrementalEngine
+        # Sabotage the staleness machinery: a no-op memo eviction keeps
+        # a dirty user's pre-mutation schedule.  A budget change leaves
+        # the user's candidate view (the memo key) as it was, so the
+        # delta solve reuses a schedule planned for the old budget.
+        # The churn fuzzer must catch the divergence, shrink the
+        # stream, and dump a repro that replays from the file alone.
+        from repro.core.candidates import ScheduleMemo
 
         out = tmp_path / "churn_failure.json"
         with monkeypatch.context() as patch:
-            patch.setattr(IncrementalEngine, "note_mutation", lambda self: None)
+            patch.setattr(ScheduleMemo, "evict_users", lambda self, users: 0)
             report = fuzz.run_churn_fuzz(
                 seed=9, streams=30, mutations_per_stream=15, out_path=str(out)
             )

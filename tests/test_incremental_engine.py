@@ -104,8 +104,8 @@ def test_default_rows_carry_no_profile_counters(config):
 
 
 def test_single_dirty_user_is_the_only_miss():
-    """Evict one user's memo entry and the whole-solve cache: the
-    re-solve reschedules that user alone and replays everyone else."""
+    """Evict one user's memo entry: the re-solve reschedules that user
+    alone and memo-hits everyone else."""
     config = SyntheticConfig(
         seed=304, num_events=10, num_users=20, mean_capacity=2000,
         capacity_distribution="normal", grid_size=30,
@@ -113,7 +113,6 @@ def test_single_dirty_user_is_the_only_miss():
     instance = generate_instance(config)
     first = make_solver("DeDPO").solve(instance)
     engine = get_engine(instance)
-    engine._solutions.clear()
     del engine.memo._last[("dp", 7)]
     with instrument.profiled(enabled=True) as prof:
         second = make_solver("DeDPO").solve(instance)

@@ -473,6 +473,77 @@ class TestDiskFaultDegradation:
         assert recovered.batches == 1
 
 
+class TestAppendAfterTornTail:
+    """A restarted worker replays past a torn final line, then reopens
+    the journal and keeps appending.  Every record it acknowledges
+    after that must survive the next restarts."""
+
+    EXTRA = {"op": "utility_change", "user_id": 3, "event_id": 2,
+             "utility": 0.42}
+
+    @pytest.fixture(autouse=True)
+    def _disarm(self):
+        yield
+        faults.install_disk(None)
+
+    @staticmethod
+    def _append(journal, instance, entry, seq):
+        mutation = mutation_from_dict(entry, "test")
+        apply_mutation(instance, mutation)
+        return journal.append_mutations(
+            [mutation_to_dict(mutation)], seq, instance.version
+        )
+
+    @staticmethod
+    def _restart(path):
+        recovered, failures = recover_all(os.path.dirname(path))
+        assert failures == []
+        (item,) = recovered
+        return item, InstanceJournal.reopen(path)
+
+    @pytest.mark.parametrize("tear", ["disk-torn", "sigkill"])
+    def test_acknowledged_records_survive_restarts(self, tmp_path, tear):
+        if tear == "disk-torn":
+            faults.install_disk(faults.DiskFaultSpec(tear, after_writes=2))
+        instance = _canonical_example()
+        journal = InstanceJournal.create(
+            str(tmp_path), "inst-000000", instance_to_dict(instance)
+        )
+        assert self._append(journal, instance, MUTATIONS[0], 0) is True
+        if tear == "disk-torn":
+            assert self._append(journal, instance, MUTATIONS[1], 1) is False
+        journal.close()
+        faults.install_disk(None)
+        if tear == "sigkill":
+            with open(journal.path, "a") as handle:
+                handle.write('{"kind": "mutate", "mutations": [{"op"')
+
+        item, journal = self._restart(journal.path)
+        assert (item.instance.version, item.last_seq) == (1, 0)
+        live = item.instance
+        assert self._append(journal, live, MUTATIONS[2], 2) is True
+        journal.close()
+
+        item, journal = self._restart(journal.path)
+        assert (item.instance.version, item.last_seq) == (2, 2)
+        assert self._append(journal, item.instance, self.EXTRA, 3) is True
+        journal.close()
+        apply_mutation(live, mutation_from_dict(self.EXTRA, "test"))
+
+        item, journal = self._restart(journal.path)
+        journal.close()
+        assert (item.instance.version, item.last_seq) == (3, 3)
+        assert build_cache.instance_fingerprint(
+            item.instance
+        ) == build_cache.instance_fingerprint(live)
+
+    def test_reopen_leaves_a_whole_journal_as_it_is(self, tmp_path):
+        path, _ = _journal_with_batches(tmp_path, [MUTATIONS[:2]])
+        before = open(path, "rb").read()
+        InstanceJournal.reopen(path).close()
+        assert open(path, "rb").read() == before
+
+
 class TestRecoverAll:
     def test_recovers_every_journal_sorted(self, tmp_path):
         for name in ("inst-000002", "inst-000000", "inst-000001"):

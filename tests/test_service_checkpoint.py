@@ -67,6 +67,57 @@ class TestJournalBasics:
             assert not journal.has((1, "DeGreedy"))
 
 
+class TestResumeAfterTornTail:
+    """Resume cuts a torn final line before it appends, so the rows a
+    resumed run records are all there for the next resume."""
+
+    @staticmethod
+    def _torn_after_first_cell(path):
+        with _open(path, algorithms=("A", "B")) as journal:
+            journal.record((0, "A"), {"solver": "A", "n": 1})
+        with open(path, "a") as handle:
+            handle.write('{"kind": "cell", "point": 0, "solv')  # torn
+
+    def test_rows_recorded_after_resume_survive(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        self._torn_after_first_cell(path)
+        with _open(path, resume=True, algorithms=("A", "B")) as journal:
+            journal.record((0, "B"), {"solver": "B", "n": 2})
+            journal.record((1, "A"), {"solver": "A", "n": 3})
+        with _open(path, resume=True, algorithms=("A", "B")) as journal:
+            assert journal.has((0, "B"))
+            assert journal.has((1, "A"))
+        assert [row["n"] for row in load_rows(str(path))] == [1, 2, 3]
+        canonical = canonical_bytes(str(path)).splitlines()
+        assert len(canonical) == 4  # header + three cells
+
+    def test_final_line_without_newline_is_kept(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        with _open(path, algorithms=("A",)) as journal:
+            journal.record((0, "A"), {"solver": "A", "n": 1})
+        path.write_text(path.read_text().rstrip("\n"))
+        with _open(path, resume=True, algorithms=("A",)) as journal:
+            journal.record((1, "A"), {"solver": "A", "n": 2})
+        assert [row["n"] for row in load_rows(str(path))] == [1, 2]
+
+    def test_canonical_bytes_skip_a_torn_final_line(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        self._torn_after_first_cell(path)
+        whole = tmp_path / "whole.jsonl"
+        with _open(whole, algorithms=("A", "B")) as journal:
+            journal.record((0, "A"), {"solver": "A", "n": 1})
+        assert canonical_bytes(str(path)) == canonical_bytes(str(whole))
+
+    def test_canonical_bytes_still_refuse_a_torn_interior_line(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        self._torn_after_first_cell(path)
+        with open(path, "a") as handle:
+            handle.write('\n{"kind": "cell", "point": 1, "solver": "A", '
+                         '"row": {}}\n')
+        with pytest.raises(json.JSONDecodeError):
+            canonical_bytes(str(path))
+
+
 class TestJournalLock:
     """The advisory fcntl lock: one live writer per journal file."""
 

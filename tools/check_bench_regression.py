@@ -19,22 +19,21 @@ stamped ``cpu_count`` are hardware-capped, not regressions, and are
 skipped).  Finally the compacted journal replay must stay 5x faster
 than the uncompacted one at 10k mutations (the recovery floor).
 
-Speedup ratios — kernel time / seed time measured in the **same**
+Speedup ratios — seed time / kernel time measured in the **same**
 process on the **same** machine — are what gets compared, never
 absolute wall times: CI runners are slower and noisier than the machine
 that recorded the committed ledger, but both twins slow down together,
 so the ratio transfers.  A real regression (the kernel losing its edge
-over the seed baseline) moves the ratio regardless of machine.  One
-exception: cells served by the solve replay cache finish in fractions
-of a millisecond, where ratio swings are pure timer jitter — a cell
-whose fresh kernel time sits within ``ABS_SLACK_S`` of the committed
-time passes unconditionally.
+over the seed baseline) moves the ratio regardless of machine.  Every
+twin cell is timed cold, as the median ratio of interleaved (kernel,
+seed) pairs on fresh instances (see ``benchmarks/record_bench.py``), so
+every cell is ratio-guarded; none is exempt.
 
 Usage::
 
     PYTHONPATH=src python tools/check_bench_regression.py \
         [--ledger BENCH_solvers.json] [--out fresh-ledger.json] \
-        [--repeats 5] [--tolerance 0.20]
+        [--repeats 25] [--tolerance 0.20]
 
 Exit codes: 0 = no regression, 1 = regression detected, 2 = bad input.
 """
@@ -59,25 +58,6 @@ def _speedups(payload: Dict[str, object]) -> Dict[Tuple[str, str], float]:
         (str(e["scale"]), str(e["after"]["solver"])): float(e["speedup"])
         for e in payload.get("results", [])
     }
-
-
-def _kernel_times(payload: Dict[str, object]) -> Dict[Tuple[str, str], float]:
-    """``{(scale, solver): kernel wall_time_s}`` of one ledger payload."""
-    return {
-        (str(e["scale"]), str(e["after"]["solver"])): float(
-            e["after"]["wall_time_s"]
-        )
-        for e in payload.get("results", [])
-    }
-
-
-#: Absolute slack on the kernel wall time: warm cells served by the
-#: solve replay cache finish in well under a millisecond, where a 20%
-#: *ratio* swing is timer jitter, not a regression.  A cell whose fresh
-#: kernel time is within this many seconds of the committed one passes
-#: regardless of the ratio; slow cells (where regressions actually
-#: cost something) are far outside the slack and stay ratio-guarded.
-ABS_SLACK_S = 0.002
 
 
 #: Hard floor on the churn block's delta-vs-cold speedup.  Unlike the
@@ -279,8 +259,6 @@ def check(
         scales, repeats=repeats, out_path=out_path, churn=True, partition=True
     )
     fresh_speedups = _speedups(fresh)
-    committed_times = _kernel_times(committed)
-    fresh_times = _kernel_times(fresh)
 
     floor_factor = 1.0 - tolerance
     regressions: List[str] = []
@@ -293,13 +271,8 @@ def check(
             regressions.append(f"{scale}/{solver}: missing from fresh run")
             print(f"{scale:6s} {solver:10s} {committed_s:9.2f} {'—':>9s} MISSING")
             continue
-        within_slack = (
-            fresh_times[key] <= committed_times[key] + ABS_SLACK_S
-        )
-        ok = fresh_s >= committed_s * floor_factor or within_slack
+        ok = fresh_s >= committed_s * floor_factor
         verdict = "ok" if ok else "REGRESSED"
-        if ok and fresh_s < committed_s * floor_factor:
-            verdict = "ok (abs slack)"
         print(
             f"{scale:6s} {solver:10s} {committed_s:9.2f} {fresh_s:9.2f} "
             f"{verdict}"
@@ -346,7 +319,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         default=os.path.join(REPO_ROOT, "bench-fresh.json"),
         help="where the fresh re-measured ledger is written (CI artifact)",
     )
-    parser.add_argument("--repeats", type=int, default=5)
+    parser.add_argument(
+        "--repeats",
+        type=int,
+        default=record_bench.DEFAULT_REPEATS,
+        help="(kernel, seed) pairs per twin cell, capped per scale",
+    )
     parser.add_argument(
         "--tolerance",
         type=float,
