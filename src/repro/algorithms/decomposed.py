@@ -39,7 +39,7 @@ from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from ..core import instrument
+from ..core import deadline, instrument
 from ..core.instance import USEPInstance
 from ..core.planning import Planning
 from .base import Solver
@@ -193,6 +193,7 @@ class DecomposedSolver(Solver):
                     sat_mask[event_id] = True
 
         for r in range(num_users):
+            deadline.check()
             scheduler_calls += 1
             if fast_scan:
                 cands = per_user_np[r]

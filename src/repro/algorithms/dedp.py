@@ -29,7 +29,7 @@ from typing import Dict, List, Set, Tuple
 
 import numpy as np
 
-from ..core import instrument
+from ..core import deadline, instrument
 from ..core.instance import USEPInstance
 from ..core.planning import Planning
 from .base import Solver
@@ -79,6 +79,7 @@ class DeDP(Solver):
         hat_schedules: List[List[Tuple[int, int]]] = []
         dp_calls = 0
         for r in range(num_users):
+            deadline.check()
             if total_copies:
                 column = mu_r[:, r]
                 # Best copy value per event (one reduceat over the whole

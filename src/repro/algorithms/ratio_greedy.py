@@ -28,6 +28,7 @@ from __future__ import annotations
 import heapq
 from typing import Dict, Iterable, Optional, Set, Tuple
 
+from ..core import deadline
 from ..core.instance import USEPInstance
 from ..core.planning import Planning
 from .base import Solver, ratio_sort_key
@@ -131,9 +132,11 @@ class _RatioGreedyEngine:
         for event_id in sorted(self.allowed):
             self._push_event_entry(event_id)
         for user_id in range(self.instance.num_users):
+            deadline.check()
             self._push_user_entry(user_id)
 
         while self.heap:
+            deadline.check()
             key, kind, owner, partner, gen = heapq.heappop(self.heap)
             current_gen = (
                 self.event_gen[owner] if kind == "E" else self.user_gen[owner]

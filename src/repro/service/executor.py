@@ -22,10 +22,13 @@ daemonic and may not spawn ``multiprocessing`` children), and because
 the child only ever writes one blob to one pipe — no queue machinery
 needed.
 
-On platforms without ``fork`` (Windows) :func:`run_supervised` falls
-back to in-process execution: results and error capture are identical,
-but hangs and hard crashes cannot be contained — the outcome's
-``supervised`` flag records which mode ran, and callers surface it.
+On platforms without ``fork`` (Windows), and wherever the caller asks
+for it (``force_in_process``: the fleet workers of the planning
+service), :func:`run_supervised` solves in the calling thread instead:
+results and error capture are identical, the deadline is cooperative
+(:mod:`repro.core.deadline`), and hard crashes cannot be contained —
+the outcome's ``supervised`` flag records which mode ran, and callers
+surface it.
 
 Exceptions inside ``solve`` never escape the child; they come back as
 structured ``error``/``memory`` outcomes with the full traceback, so
@@ -47,6 +50,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Tuple
 
 from ..algorithms.registry import make_solver
+from ..core.deadline import DeadlineExceeded, deadline_at
 from ..core.instance import USEPInstance
 from . import faults
 
@@ -62,8 +66,9 @@ class ExecutionOutcome:
     """Everything the parent learns from one supervised attempt.
 
     Attributes:
-        status: ``ok`` (result delivered), ``timeout`` (deadline hit,
-            child killed), ``crash`` (child died without a result),
+        status: ``ok`` (result delivered), ``timeout`` (deadline hit:
+            child killed, or the in-process solve stopped or finished
+            late), ``crash`` (child died without a result),
             ``error`` (solver raised; retryable at the caller's
             discretion), ``memory`` (solver raised ``MemoryError``).
         solver: Registry name that ran.
@@ -78,7 +83,7 @@ class ExecutionOutcome:
         counters: Solver counters on success.
         error: Traceback or crash/timeout description on failure.
         exit_code: Child exit status when it crashed.
-        supervised: False when the fork-less fallback ran in-process.
+        supervised: False when the attempt ran in-process.
     """
 
     status: str
@@ -104,24 +109,28 @@ def fork_supported() -> bool:
     return hasattr(os, "fork")
 
 
-def _apply_memory_limit(limit_bytes: int) -> None:
-    """Cap the child's address space (the service's per-request guard).
+def apply_memory_limit(limit_bytes: int) -> None:
+    """Cap this process's data segment (the service's memory guard).
 
-    Applied inside the forked worker only, so an abusive instance that
-    tries to materialise a huge DP table hits ``MemoryError`` in its
-    own process — reported upstream as a structured ``memory`` outcome
-    — instead of driving the server into the host OOM killer.  Best
-    effort: platforms without ``resource`` (or with a lower hard cap)
-    keep their existing limits.
+    A forked solver child applies it before solving, and a fleet worker
+    once at boot; an abusive instance that tries to materialise a huge
+    DP table then hits ``MemoryError`` — reported upstream as a
+    structured ``memory`` outcome — instead of driving the host into
+    the OOM killer.  ``RLIMIT_DATA`` rather than ``RLIMIT_AS``: since
+    Linux 4.7 it counts every private writable mapping, which is what a
+    solve allocates, and not the address space glibc reserves for one
+    malloc arena per thread (up to 8 per core), which a threaded worker
+    accumulates without using.  Best effort: platforms without
+    ``resource`` (or with a lower hard cap) keep their existing limits.
     """
     try:
         import resource
 
         soft = limit_bytes
-        _, hard = resource.getrlimit(resource.RLIMIT_AS)
+        _, hard = resource.getrlimit(resource.RLIMIT_DATA)
         if hard != resource.RLIM_INFINITY:
             soft = min(soft, hard)
-        resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
+        resource.setrlimit(resource.RLIMIT_DATA, (soft, hard))
     except Exception:  # pragma: no cover - platform-dependent
         pass
 
@@ -232,14 +241,15 @@ def run_supervised(
             child, so the measurement stays attributable).
         cell: Sweep-cell key handed to the fault-injection harness.
         attempt: 0-based attempt number (faults arm per attempt).
-        force_in_process: Skip the fork even where available (used by
-            tests of the fallback path).
+        force_in_process: Solve in the calling thread even where fork
+            is available, under a cooperative deadline (fleet workers,
+            whose schedule memo must outlive the request).
         profile: Collect the incremental engine's diagnostic counters
             into the outcome's ``counters``.
-        memory_limit_bytes: Address-space rlimit applied in the forked
+        memory_limit_bytes: Data-segment rlimit applied in the forked
             child before solving (the server's per-request memory
-            guard); ignored by the in-process fallback, which cannot
-            contain an allocation blow-up.
+            guard); ignored in-process, where the process-wide limit
+            holds (a fleet worker sets it once at boot).
     """
     if force_in_process or not fork_supported():
         return _run_in_process(
@@ -256,7 +266,7 @@ def run_supervised(
         gc.disable()
         os.close(read_fd)
         if memory_limit_bytes is not None:
-            _apply_memory_limit(memory_limit_bytes)
+            apply_memory_limit(memory_limit_bytes)
         code = 0
         try:
             record = _solve_record(
@@ -324,17 +334,29 @@ def _run_in_process(
     attempt: int,
     profile: bool = False,
 ) -> ExecutionOutcome:
-    """Fallback without fork: same record, no hang/crash containment.
+    """Solve in this thread: same record, no crash containment.
 
-    A deadline can only be checked *after* the fact here; an attempt
-    that finished past it is still reported as ``timeout`` so ladder
-    semantics stay consistent across platforms.
+    The deadline is cooperative (:mod:`repro.core.deadline`): the
+    solvers' loops stop at it and the attempt reports ``timeout``.  A
+    solve that never checks it (the ``hang`` fault, the ``*-seed``
+    twins, ``+LS``) runs to the end and is reported as ``timeout``
+    after the fact, so ladder semantics stay consistent across modes.
     """
     start = time.monotonic()
     try:
-        record = _solve_record(
-            instance, name, measure_memory, cell, attempt,
-            supervised=False, profile=profile,
+        with deadline_at(None if timeout is None else start + timeout):
+            record = _solve_record(
+                instance, name, measure_memory, cell, attempt,
+                supervised=False, profile=profile,
+            )
+    except DeadlineExceeded:
+        elapsed = time.monotonic() - start
+        return ExecutionOutcome(
+            status="timeout",
+            solver=name,
+            wall_time_s=elapsed,
+            error=f"stopped at the {timeout}s deadline after {elapsed:.3f}s",
+            supervised=False,
         )
     except MemoryError:
         return ExecutionOutcome(
@@ -367,7 +389,7 @@ def _run_in_process(
             solver=name,
             wall_time_s=elapsed,
             error=f"run took {elapsed:.3f}s, past the {timeout}s deadline "
-            "(unsupervised fallback cannot interrupt)",
+            "(this solver does not check it)",
             supervised=False,
         )
     return _ok_outcome(record, name, elapsed, supervised=False)

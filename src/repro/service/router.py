@@ -715,16 +715,13 @@ class LocalCluster:
         with LocalCluster(workers=2, journal_root=tmp) as cluster:
             url = cluster.base_url          # the router
             cluster.kill_worker("w0")        # SIGKILL, supervisor restarts
-
-    Workers run ``--in-process`` by default (fork containment is the
-    single-process suite's concern; these tests are about the fleet).
     """
 
     def __init__(
         self,
         workers: int = 2,
         journal_root: Optional[str] = None,
-        worker_args: Sequence[str] = ("--in-process",),
+        worker_args: Sequence[str] = (),
         supervisor_config: Optional[SupervisorConfig] = None,
         router_config: Optional[RouterConfig] = None,
         host: str = "127.0.0.1",

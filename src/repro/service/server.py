@@ -10,22 +10,31 @@ error.  The design goals, in order: **stay up**, **shed gracefully**,
 Request path::
 
     HTTP thread ── size guard ── admission (429/503) ── harden-decode
-      (400) ── slot wait (bounded queue) ── run_supervised (forked
-      child, deadline + rlimit) ── oracle gate ── ladder fallback ── 200
+      (400) ── slot wait (bounded queue) ── run_supervised (in-process
+      under a cooperative deadline, or a forked child) ── oracle gate
+      ── ladder fallback ── 200
 
 * Admission control, the bounded queue, rate limiting and queue-
   pressure degradation live in :mod:`repro.service.admission`.
-* Solving reuses :func:`repro.service.executor.run_supervised`: each
-  attempt runs in a forked, deadline-supervised child with an optional
-  address-space rlimit, so hostile instances can hang or blow up only
-  their own process.  Platforms without ``fork`` (and ``in_process=
-  True`` test servers) solve inline — same responses, weaker
-  containment, exactly like the sweep harness fallback.
-* Repeated solves of a content-identical instance are warm: the
-  decoded instance is swapped for its registered twin in the cross-
-  cell build cache, whose arrays and candidate index the parent builds
-  before forking, so the child inherits them through copy-on-write.
-  The schedule memo fills in the child and dies with it.
+* Solving reuses :func:`repro.service.executor.run_supervised`.  With
+  ``in_process=True`` — every fleet worker, and ``serve --in-process``
+  — an attempt runs in the handler thread: the solvers stop at a
+  cooperative deadline (:mod:`repro.core.deadline`), and
+  ``GET /healthz`` answers 503 ``stuck`` once a solve that ignores it
+  runs :data:`STUCK_GRACE_S` past its deadline, so the fleet
+  supervisor restarts the worker; the worker's memory limit is set
+  once for the process.  Otherwise (single-process ``serve``) each
+  attempt runs in a forked child, killed at the deadline and capped by
+  a data-segment rlimit, so a hostile instance can hang or blow up
+  only its own process.
+* Repeated solves are warm.  An inline instance is swapped for its
+  content-identical twin in the cross-cell build cache.  A registered
+  instance keeps its own arrays, candidate index and schedule memo and
+  never enters the build cache: it is mutable, and a twin adopted by
+  an inline request would be solved without its lock.  In-process the
+  schedule memo persists, so a by-id re-solve after churn reschedules
+  only the users whose candidate view changed; a forked child fills
+  its memo and drops it on exit.
 * Every plan is gated by the independent oracle
   (:func:`repro.verify.oracle.verify_schedules`) before it is
   returned; an infeasible plan counts as a rung failure and the next
@@ -79,8 +88,16 @@ from .ladder import guarantee_of, ladder_for
 
 #: Hard floor on the deadline handed to a solver attempt: once the
 #: remaining budget is below this, the request is answered from what
-#: already happened instead of forking a doomed child.
+#: already happened instead of starting an attempt that cannot finish.
 _MIN_SOLVE_BUDGET_S = 1e-3
+
+#: How far past its own deadline an in-flight solve may run before
+#: ``GET /healthz`` answers 503 ``stuck``.  The kernels stop at a
+#: cooperative deadline within one user's step or heap pop; a solve
+#: still running this long after its deadline ignores it (the ``hang``
+#: fault, the ``*-seed`` twins, ``+LS``) and holds its thread and slot
+#: until it ends, so the fleet supervisor's probe restarts the worker.
+STUCK_GRACE_S = 5.0
 
 
 @dataclass(frozen=True)
@@ -90,11 +107,15 @@ class ServerConfig:
     Attributes:
         admission: The admission controller's configuration.
         default_algorithm: Solver used when the request names none.
-        memory_limit_bytes: Per-request address-space rlimit applied in
-            the forked solver child; ``None`` disables the guard.
-        in_process: Solve inline instead of forking (fork-less
-            platforms and tests; containment is weaker, responses
-            identical).
+        memory_limit_bytes: Data-segment rlimit of a forked solver child
+            (per request); a fleet worker applies it to itself at boot
+            instead.  ``None`` disables the guard.
+        in_process: Solve in the handler thread under a cooperative
+            deadline instead of forking (every fleet worker, ``serve
+            --in-process``, fork-less platforms); the schedule memo of
+            a registered instance then survives between requests.
+            Responses are identical; a hang costs the worker, not just
+            its request.
         verify: Oracle-gate every plan (only tests turn this off).
         log_requests: Emit per-request lines to stderr.
         max_instances: Registered-instance store bound; the least
@@ -222,8 +243,7 @@ class InstanceStore:
                 # Eviction must not yank the instance out from under a
                 # handler: take its lock first (store -> instance order,
                 # same as every other path), flip the tombstone, then
-                # drop the entry, its journal and its build-cache
-                # registration.
+                # drop the entry and its journal.
                 with evicted.lock:
                     evicted.evicted = True
                     del self._entries[evicted_id]
@@ -233,7 +253,6 @@ class InstanceStore:
                     if evicted.journal is not None:
                         evicted.journal.delete()
                         evicted.journal = None
-                    build_cache.forget(evicted.instance)
             return entry
 
     def get(self, instance_id: str) -> Optional[StoredInstance]:
@@ -297,6 +316,33 @@ class PlanningServer(ThreadingHTTPServer):
         # before solving — lets the soak test hold slots long enough to
         # build real queue pressure without needing a slow instance.
         self.pre_solve_hook = None
+        # In-flight solves for the /healthz watchdog: token -> (start,
+        # deadline), both monotonic.
+        self._solves_lock = threading.Lock()
+        self._solves: Dict[object, Tuple[float, float]] = {}
+
+    # -- in-flight solves -------------------------------------------------
+    def begin_solve(self, deadline: float) -> object:
+        """Record one in-flight solve due by ``deadline``; returns the
+        token :meth:`end_solve` takes."""
+        token = object()
+        with self._solves_lock:
+            self._solves[token] = (time.monotonic(), deadline)
+        return token
+
+    def end_solve(self, token: object) -> None:
+        with self._solves_lock:
+            del self._solves[token]
+
+    def solve_watch(self) -> Tuple[float, bool]:
+        """``(age of the oldest in-flight solve in seconds, 0 when idle;
+        whether a solve is more than STUCK_GRACE_S past its deadline)``."""
+        now = time.monotonic()
+        with self._solves_lock:
+            solves = list(self._solves.values())
+        oldest = max((now - start for start, _ in solves), default=0.0)
+        stuck = any(now - deadline > STUCK_GRACE_S for _, deadline in solves)
+        return round(oldest, 3), stuck
 
     # -- journal health -------------------------------------------------
     def journal_degraded(self) -> bool:
@@ -463,12 +509,17 @@ class _Handler(JsonRequestHandler):
     # -- GET endpoints -------------------------------------------------
     def do_GET(self):  # noqa: N802 - stdlib casing
         if self.path == "/healthz":
-            body: Dict[str, object] = {"status": "ok", "pid": os.getpid()}
+            oldest, stuck = self.server.solve_watch()
+            body: Dict[str, object] = {
+                "status": "stuck" if stuck else "ok",
+                "pid": os.getpid(),
+                "oldest_solve_s": oldest,
+            }
             if self.server.config.worker_id is not None:
                 body["worker_id"] = self.server.config.worker_id
             if self.server.config.journal_dir:
                 body["journal_degraded"] = self.server.journal_degraded()
-            self._send_json(200, body)
+            self._send_json(503 if stuck else 200, body)
         elif self.path == "/readyz":
             if self.server.admission.draining:
                 self._send_error_json(503, "draining", "server is draining")
@@ -478,6 +529,8 @@ class _Handler(JsonRequestHandler):
             stats = self.server.admission.snapshot()
             stats["build_cache"] = build_cache.stats()
             stats["fork_supported"] = fork_supported()
+            stats["in_process"] = self.server.config.in_process
+            stats["oldest_solve_s"] = self.server.solve_watch()[0]
             stats["instances"] = len(self.server.instances)
             stats["pid"] = os.getpid()
             if self.server.config.worker_id is not None:
@@ -857,6 +910,7 @@ class _Handler(JsonRequestHandler):
             "error": _JsonErrors.SOLVE_FAILED,
             "detail": "solve path aborted",
         }
+        watch = self.server.begin_solve(deadline)
         try:
             hook = self.server.pre_solve_hook
             if hook is not None:
@@ -880,7 +934,8 @@ class _Handler(JsonRequestHandler):
                     else:
                         solved_version = entry.instance.version
                         disposition, status, body = self._solve(
-                            entry.instance, algorithm, ticket, deadline, deadline_s
+                            entry.instance, algorithm, ticket, deadline,
+                            deadline_s, stored=True,
                         )
                         body["instance_id"] = entry.instance_id
                         body["instance_version"] = solved_version
@@ -895,6 +950,7 @@ class _Handler(JsonRequestHandler):
                 "detail": f"unexpected {type(exc).__name__} in solve path",
             }
         finally:
+            self.server.end_solve(watch)
             admission.release(disposition)  # noqa: B012 - counter contract
         self._send_json(status, body)
 
@@ -947,6 +1003,7 @@ class _Handler(JsonRequestHandler):
             "error": _JsonErrors.SOLVE_FAILED,
             "detail": "subsolve path aborted",
         }
+        watch = self.server.begin_solve(deadline)
         try:
             try:
                 instance, cache_hit = build_cache.get_or_register(instance)
@@ -998,6 +1055,7 @@ class _Handler(JsonRequestHandler):
                 "detail": f"unexpected {type(exc).__name__} in subsolve path",
             }
         finally:
+            self.server.end_solve(watch)
             admission.release(disposition)
         self._send_json(status, body)
 
@@ -1070,9 +1128,11 @@ class _Handler(JsonRequestHandler):
         ticket: Ticket,
         deadline: float,
         deadline_s: float,
+        stored: bool = False,
     ):
         """Ladder walk under the request deadline; returns the response.
 
+        ``stored`` marks a registered instance, solved under its lock.
         Returns ``(disposition, http_status, body)`` where disposition
         is the admission counter to settle.
         """
@@ -1081,11 +1141,17 @@ class _Handler(JsonRequestHandler):
         start_rung = min(ticket.rung_shift, len(rungs) - 1)
         rungs = rungs[start_rung:]
 
+        cache_hit = False
         try:
-            instance, cache_hit = build_cache.get_or_register(instance)
+            # A registered instance never enters the build cache: /mutate
+            # edits it in place, so an inline twin that adopted it would
+            # be solved without its lock.  It warms its own build and
+            # keeps its own schedule memo instead.
+            if not stored:
+                instance, cache_hit = build_cache.get_or_register(instance)
             build_cache.prepare_build(instance)
         except Exception:
-            cache_hit = False  # child rebuilds; failure surfaces there
+            pass  # the solve rebuilds; failure surfaces there
 
         failures: List[Dict[str, object]] = []
         solve_started = time.monotonic()

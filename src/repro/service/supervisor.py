@@ -5,11 +5,13 @@ each on its own ephemeral port with its own journal directory.  Its
 one job is keeping the fleet serving through worker death:
 
 * **Heartbeat health checks** — every ``heartbeat_interval_s`` each
-  worker answers ``GET /healthz`` within ``probe_timeout_s``; a worker
-  that misses ``hung_probe_failures`` consecutive probes is declared
-  hung and SIGKILLed (a hung worker is *worse* than a dead one — it
-  holds the shard hostage; killing it converts the hang into the
-  restart path, where journal replay recovers the state).
+  worker answers ``GET /healthz`` with a 200 within
+  ``probe_timeout_s``; a worker that misses ``hung_probe_failures``
+  consecutive probes is declared hung and SIGKILLed (a hung worker is
+  *worse* than a dead one — it holds the shard hostage; killing it
+  converts the hang into the restart path, where journal replay
+  recovers the state).  A worker whose in-process solve overran its
+  deadline answers 503 ``stuck``, which misses the probe the same way.
 * **Restart with backoff** — a dead worker is respawned with the same
   ``worker_id`` and journal directory (so
   :meth:`~repro.service.server.PlanningServer.recover_instances`
@@ -59,7 +61,7 @@ class SupervisorConfig:
             ``<journal_root>/<worker_id>``; ``None`` disables
             durability (crashed workers come back empty).
         worker_args: Extra CLI args passed through to every worker
-            (``--in-process``, admission knobs, ...).
+            (admission knobs, ladder, memory limit, ...).
         heartbeat_interval_s: Monitor loop cadence.
         probe_timeout_s: HTTP timeout of one ``/healthz`` probe.
         hung_probe_failures: Consecutive probe misses before a worker
@@ -102,6 +104,9 @@ class WorkerHandle:
     backoff_until: Optional[float] = None
     gave_up: bool = False
     recovered_instances: int = 0
+    #: SIGKILLs after ``hung_probe_failures`` missed probes (a frozen
+    #: worker, or one whose ``/healthz`` reported a stuck solve).
+    hung_kills: int = 0
     #: The worker reported ``journal_degraded`` on a probe — it is
     #: serving non-durably after a disk fault.  Sticky until the
     #: worker restarts (a fresh process gets a fresh journal writer).
@@ -136,7 +141,6 @@ class Supervisor:
         self._draining = False
         self._monitor: Optional[threading.Thread] = None
         self.total_restarts = 0
-        self.hung_kills = 0
 
     # -- lifecycle -----------------------------------------------------
     def start(self) -> None:
@@ -204,6 +208,12 @@ class Supervisor:
         cmd += list(self.config.worker_args)
         env = dict(os.environ)
         env["PYTHONPATH"] = _src_root() + os.pathsep + env.get("PYTHONPATH", "")
+        # A worker solves in its handler threads, and glibc gives each
+        # new thread its own malloc arena (up to 8 per core), each
+        # keeping the memory its solves freed.  Two arenas hold a
+        # worker's resident set and address space down; the interpreter
+        # lock serialises the solves anyway.  An operator's value wins.
+        env.setdefault("MALLOC_ARENA_MAX", "2")
         proc = subprocess.Popen(
             cmd, stdout=subprocess.PIPE, stderr=subprocess.STDOUT,
             text=True, env=env,
@@ -311,7 +321,7 @@ class Supervisor:
             if hung:
                 handle.healthy = False
         if hung and proc.poll() is None:
-            self.hung_kills += 1
+            handle.hung_kills += 1  # only this monitor thread writes it
             try:
                 proc.send_signal(signal.SIGKILL)
             except OSError:
@@ -425,6 +435,7 @@ class Supervisor:
                     "gave_up": h.gave_up,
                     "recovered_instances": h.recovered_instances,
                     "journal_degraded": h.journal_degraded,
+                    "hung_kills": h.hung_kills,
                 }
                 for h in self._handles.values()
             ]

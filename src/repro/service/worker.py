@@ -2,8 +2,14 @@
 
 A worker is a full :class:`~repro.service.server.PlanningServer` — the
 same admission control, ladder, oracle gate and stateful instance
-endpoints as the single-process daemon — plus the three things that
-make it a good fleet citizen:
+endpoints as the single-process daemon — that always solves in its own
+process (``in_process=True``): a registered instance's schedule memo
+then survives from one request to the next, so a by-id re-solve after
+churn reschedules only the users whose candidate view changed.  The
+solvers stop at a cooperative deadline; a solve that ignores it turns
+``/healthz`` into 503 ``stuck`` and the supervisor restarts the worker;
+``--memory-limit-mb`` caps the whole worker, set once at boot.  Plus
+the three things that make it a good fleet citizen:
 
 * **Identity**: ``--worker-id`` namespaces its instance ids
   (``w0-inst-000000``) and is echoed in ``/healthz`` / ``/stats`` so
@@ -34,6 +40,7 @@ import threading
 from typing import List, Optional
 
 from .admission import AdmissionConfig
+from .executor import apply_memory_limit
 from .faults import install_disk_from_env
 from .ladder import DEFAULT_LADDER, parse_ladder
 from .server import PlanningServer, ServerConfig, make_server
@@ -105,7 +112,9 @@ def serve_until_signalled(
 SERVER_OPTIONS = (
     ("--max-inflight", dict(
         type=int, default=2, metavar="N",
-        help="concurrent solves (each may fork one supervised child)")),
+        help="concurrent solves per process; a fleet worker runs them in "
+        "its own interpreter, single-process serve forks a supervised "
+        "child for each")),
     ("--queue-depth", dict(
         type=int, default=8, metavar="N",
         help="requests allowed to wait for a solve slot; beyond this "
@@ -134,12 +143,14 @@ SERVER_OPTIONS = (
         default="DeDPO+RG", help="solver used when a request names none")),
     ("--memory-limit-mb", dict(
         type=int, default=2048, metavar="MB",
-        help="address-space rlimit per forked solver child "
+        help="data-segment rlimit (RLIMIT_DATA) of each fleet worker, or "
+        "of each forked solver child of single-process serve "
         "(0 disables the guard)")),
     ("--in-process", dict(
         action="store_true",
-        help="solve inline instead of forking (weaker containment; "
-        "the fork-less platform fallback)")),
+        help="single-process serve: solve in the handler thread under a "
+        "cooperative deadline instead of forking a child per solve "
+        "(fleet workers always do)")),
     ("--verbose", dict(
         action="store_true", help="log each request to stderr")),
     ("--snapshot-every", dict(
@@ -214,6 +225,9 @@ def build_worker_parser() -> argparse.ArgumentParser:
 
 def main(argv: Optional[List[str]] = None) -> int:
     args = build_worker_parser().parse_args(argv)
+    # Every fleet worker solves in its own process, whether or not the
+    # router forwarded --in-process (docs/serving.md).
+    args.in_process = True
     try:
         config = server_config(
             args,
@@ -232,6 +246,10 @@ def main(argv: Optional[List[str]] = None) -> int:
             file=sys.stderr,
         )
     server = make_server(args.host, args.port, config)
+    # One memory limit for the whole worker, which runs every solve:
+    # set after imports and the socket, before journal replay.
+    if config.memory_limit_bytes is not None:
+        apply_memory_limit(config.memory_limit_bytes)
     install_drain_handlers(server)
     recovered = server.recover_instances()
     for failure in server.recovery_failures:

@@ -398,7 +398,7 @@ class TestHostileInstanceContainment:
         pid = os.fork()
         if pid == 0:  # child: guard, then try to allocate 512 MiB
             os.close(read_fd)
-            executor._apply_memory_limit(64 << 20)
+            executor.apply_memory_limit(64 << 20)
             try:
                 blob = bytearray(512 << 20)
                 blob[0] = 1
@@ -961,3 +961,186 @@ class TestJournalRecovery:
             replica.server_close()
         assert fingerprints[0] is not None
         assert fingerprints[0] == fingerprints[1]
+
+
+# ----------------------------------------------------------------------
+# in-process solving: the stuck-solve watchdog and by-id isolation
+# ----------------------------------------------------------------------
+
+
+class TestStuckSolveWatchdog:
+    """A solve that overruns its deadline by more than the grace turns
+    ``/healthz`` into 503 ``stuck``; the fleet supervisor's probe
+    counts that as a missed probe and restarts the worker."""
+
+    DEADLINE_S = 1.0
+    GRACE_S = 0.5
+
+    @pytest.fixture
+    def overrunning(self, monkeypatch, example_payload):
+        """A server whose one solve waits in ``pre_solve_hook`` until
+        released: ``(server, release event, replies, request thread)``."""
+        import repro.service.server as server_mod
+
+        monkeypatch.setattr(server_mod, "STUCK_GRACE_S", self.GRACE_S)
+        release = threading.Event()
+        srv = _start(ServerConfig(in_process=True, memory_limit_bytes=None))
+        srv.pre_solve_hook = lambda _ticket: release.wait(60)
+        replies = []
+        payload = {**example_payload, "deadline_s": self.DEADLINE_S}
+        thread = threading.Thread(
+            target=lambda: replies.append(_request(srv, "/solve", payload))
+        )
+        thread.start()
+        try:
+            yield srv, release, replies, thread
+        finally:
+            release.set()
+            thread.join(timeout=60)
+            srv.shutdown()
+
+    @staticmethod
+    def _healthz_until(srv, wanted_status, timeout_s=20.0):
+        deadline = time.monotonic() + timeout_s
+        while True:
+            status, body, _ = _request(srv, "/healthz")
+            if status == wanted_status or time.monotonic() > deadline:
+                return status, body
+            time.sleep(0.05)
+
+    def test_healthz_turns_stuck_past_the_grace_and_recovers(self, overrunning):
+        srv, release, replies, thread = overrunning
+        deadline = time.monotonic() + 20
+        while srv.solve_watch()[0] == 0.0 and time.monotonic() < deadline:
+            time.sleep(0.01)
+        status, body, _ = _request(srv, "/healthz")
+        assert (status, body["status"]) == (200, "ok")  # within the grace
+        assert body["oldest_solve_s"] > 0
+
+        status, body = self._healthz_until(srv, 503)
+        assert (status, body["status"]) == (503, "stuck")
+        # Age counts from slot acquisition, the deadline from arrival.
+        assert body["oldest_solve_s"] > self.DEADLINE_S
+        stats = _request(srv, "/stats")[1]
+        assert stats["oldest_solve_s"] > self.DEADLINE_S
+        assert stats["in_process"] is True
+
+        release.set()
+        thread.join(timeout=60)
+        assert not thread.is_alive()
+        status, body, _ = _request(srv, "/healthz")
+        assert (status, body["status"], body["oldest_solve_s"]) == (200, "ok", 0)
+        assert _request(srv, "/stats")[1]["oldest_solve_s"] == 0
+        # The overrun request itself still got its structured reply.
+        status, body, _ = replies[0]
+        assert (status, body["error"]) == (500, "solve-failed")
+
+    def test_supervisor_probe_treats_503_stuck_as_not_alive(self):
+        """A worker's 503 ``stuck`` reply is a missed probe, whatever
+        else the body says."""
+        from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
+        from repro.service.supervisor import Supervisor, SupervisorConfig
+
+        class Stuck(BaseHTTPRequestHandler):
+            def do_GET(self):  # noqa: N802 - stdlib casing
+                blob = json.dumps(
+                    {"status": "stuck", "oldest_solve_s": 7.0,
+                     "journal_degraded": False}
+                ).encode()
+                self.send_response(503)
+                self.send_header("Content-Type", "application/json")
+                self.send_header("Content-Length", str(len(blob)))
+                self.end_headers()
+                self.wfile.write(blob)
+
+            def log_message(self, *_args):
+                pass
+
+        stub = ThreadingHTTPServer(("127.0.0.1", 0), Stuck)
+        thread = threading.Thread(target=stub.serve_forever, daemon=True)
+        thread.start()
+        try:
+            supervisor = Supervisor(SupervisorConfig(num_workers=1))
+            handle = supervisor.handle_of("w0")
+            host, port = stub.server_address[:2]
+            handle.base_url = f"http://{host}:{port}"
+            alive, _degraded = supervisor._probe(handle)
+            assert alive is False
+        finally:
+            stub.shutdown()
+            stub.server_close()
+            thread.join(timeout=10)
+
+
+class TestByIdSolveIsolation:
+    """A registered instance never enters the build cache, so an inline
+    request of equal content can never adopt it and solve it without
+    its lock while ``/mutate`` edits it."""
+
+    @pytest.mark.parametrize("in_process", [True, False], ids=["in-process", "fork"])
+    def test_inline_solve_unaffected_by_concurrent_mutate(
+        self, monkeypatch, in_process
+    ):
+        from repro.algorithms import make_solver
+        from repro.core import build_cache
+        from repro.io import (
+            canonical_planning_bytes,
+            instance_from_dict,
+            planning_from_serialised,
+        )
+
+        if not in_process:
+            import repro.service.executor as executor
+
+            if not executor.fork_supported():
+                pytest.skip("fork-less platform")
+        build_cache.clear()
+        real = build_cache.get_or_register
+        armed, adopted, release = (threading.Event() for _ in range(3))
+
+        def holding(instance):
+            result = real(instance)
+            if armed.is_set():
+                armed.clear()
+                adopted.set()
+                release.wait(60)
+            return result
+
+        monkeypatch.setattr(build_cache, "get_or_register", holding)
+        config = ServerConfig(in_process=in_process)
+        wire = instance_to_dict(build_example_instance())
+        srv = _start(config)
+        try:
+            _, body, _ = _request(srv, "/instances", {"instance": wire})
+            instance_id = body["instance_id"]
+            status, _, _ = _request(srv, "/solve", {"instance_id": instance_id})
+            assert status == 200
+            armed.set()
+            replies = []
+            thread = threading.Thread(
+                target=lambda: replies.append(
+                    _request(srv, "/solve", {"instance": wire})
+                )
+            )
+            thread.start()
+            assert adopted.wait(60)
+            status, body, _ = _request(
+                srv, "/mutate",
+                {"instance_id": instance_id, "mutations": [
+                    {"op": "budget_change", "user_id": 0, "budget": 0.0}
+                ]},
+            )
+            assert (status, body["applied"]) == (200, 1)
+            release.set()
+            thread.join(timeout=60)
+            assert not thread.is_alive()
+        finally:
+            release.set()
+            srv.shutdown()
+        status, body, _ = replies[0]
+        assert (status, body["status"]) == (200, "ok")
+        own = instance_from_dict(wire)
+        cold = make_solver(config.default_algorithm).solve(own)
+        served = planning_from_serialised(own, {"schedules": body["schedules"]})
+        assert canonical_planning_bytes(served) == canonical_planning_bytes(cold)

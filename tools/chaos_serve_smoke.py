@@ -22,7 +22,8 @@ Asserted contract (the ISSUE's acceptance criterion):
   nothing double-applied;
 * the untouched shard's instance never blinks;
 * the fleet counter invariant (``ok+degraded+shed+invalid+failed ==
-  received``) holds on every worker after the dust settles;
+  received``) holds on every worker after the dust settles, and every
+  worker reports ``in_process: true`` (fleet workers never fork);
 * SIGTERM drains the whole fleet to exit code 0.
 
 Usage::
@@ -154,6 +155,8 @@ def _churn_and_check(base, check, failures):
                   json.dumps(worker))
             check("victim shard healthy again", worker.get("healthy"),
                   json.dumps(worker))
+    check("both workers report /stats", len(stats.get("workers", [])) == 2,
+          str([w.get("worker_id") for w in stats.get("workers", [])]))
     for worker in stats.get("workers", []):
         counters = worker.get("counters", {})
         total = sum(counters.get(k, 0) for k in DISPOSITIONS)
@@ -161,6 +164,11 @@ def _churn_and_check(base, check, failures):
             f"counter invariant on {worker.get('worker_id')}",
             total == counters.get("received"),
             json.dumps(counters),
+        )
+        check(
+            f"{worker.get('worker_id')} solves in-process",
+            worker.get("in_process") is True,
+            f"in_process={worker.get('in_process')!r}",
         )
     router = stats.get("router", {})
     check("router performed a failover retry",
@@ -194,7 +202,7 @@ def main(argv=None) -> int:
             failures.append(f"{label}: {detail}")
 
     with ServeDaemon(
-        ["--workers", "2", "--journal-dir", journal_root, "--in-process"]
+        ["--workers", "2", "--journal-dir", journal_root]
     ) as daemon:
         stats = _churn_and_check(daemon.base_url, check, failures)
     if stats is not None:

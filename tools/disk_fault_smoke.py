@@ -148,7 +148,7 @@ def main(argv=None) -> int:
     print(f"disk-fault smoke: fault={args.fault}, journals in {journal_root}")
     with ServeDaemon(
         [
-            "--workers", "2", "--journal-dir", journal_root, "--in-process",
+            "--workers", "2", "--journal-dir", journal_root,
             # Scheduled compaction would reset the journal to one record
             # and make the fault's write index moot; keep it linear.
             "--snapshot-every", "0",

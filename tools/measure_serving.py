@@ -213,7 +213,6 @@ def _measure_multiworker(args, payload):
 
     depth = 8
     worker_args = (
-        "--in-process",
         "--max-inflight", str(args.max_inflight),
         "--queue-depth", str(depth),
         "--deadline-cap", "60",
