@@ -364,12 +364,11 @@ def record_partition() -> Dict[str, object]:
     instance, best-of-:data:`PARTITION_REPEATS` with the two sides
     interleaved.  Every repeat regenerates the instance from the config
     and both sides are timed *cold* — no ``warm_instance`` — because
-    pre-warming would move the monolithic side's dominant cost (the
-    per-pair Python cost-row build of the array layer) out of its
-    timing while the partitioned side still pays its full pipeline.
-    Cold end-to-end is what a caller of either path actually experiences;
-    the partitioner's vectorised per-cell cost prefill is exactly the
-    work this comparison is about.
+    pre-warming would move the monolithic side's array-layer build out
+    of its timing while the partitioned side still pays its full
+    pipeline (cut, per-cell array layers, cell solves, reconcile).
+    Cold end-to-end is what a caller of either path actually
+    experiences.
 
     The merged plan must pass the independent oracle and keep at least
     :data:`PARTITION_UTILITY_FLOOR` of the monolithic utility, or the

@@ -68,15 +68,10 @@ def warm_instance(instance: USEPInstance) -> None:
     Called before memory measurement so the |V| x |V| cost matrix,
     per-user cost rows and the precomputed
     :class:`~repro.core.arrays.InstanceArrays` count as input data (as
-    in the paper's memory plots), not as solver working set.  User rows
-    are only warmed when the instance caches them.
+    in the paper's memory plots), not as solver working set.  Building
+    the array layer builds all three; user rows only when the instance
+    caches them.
     """
-    if instance.num_events:
-        instance.cost_vv(0, 0)
-    if instance._cache_user_costs:  # noqa: SLF001 - deliberate internal knob
-        for user_id in range(instance.num_users):
-            instance.costs_to_events(user_id)
-            instance.costs_from_events(user_id)
     instance.arrays()
 
 

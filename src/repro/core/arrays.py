@@ -22,9 +22,13 @@ caches it on the instance; :func:`~repro.algorithms.base.warm_instance`
 materialises it before memory measurement so the arrays are attributed
 to the input data, exactly like the seed's lazy cost caches.
 
-Everything here is *derived* data.  The matrices are filled through the
-same :class:`~repro.core.costs.CostModel` calls the scalar accessors
-make, so array-backed solvers see bit-identical costs.
+Everything here is *derived* data.  The user matrices come from the
+cost model's bulk methods (:meth:`~repro.core.costs.CostModel.user_event_matrix`
+and :meth:`~repro.core.costs.CostModel.event_user_matrix`: one numpy
+pass for a Manhattan grid, one scalar call per pair otherwise), which
+equal the scalar legs bit for bit; the build also fills the instance's
+per-user row caches from them, so list and array accessors read the
+same values.
 """
 
 from __future__ import annotations
@@ -105,15 +109,23 @@ class InstanceArrays:
         self.from_events: Optional[np.ndarray] = None
         self.round_trip: Optional[np.ndarray] = None
         if instance._cache_user_costs:
-            num_users = instance.num_users
-            num_events = instance.num_events
-            to_m = np.empty((num_users, num_events), dtype=float)
-            from_m = np.empty((num_users, num_events), dtype=float)
-            for user_id in range(num_users):
-                # Fills (or reads) the instance's per-user row caches, so
-                # list and array accessors share one source of truth.
-                to_m[user_id] = instance.costs_to_events(user_id)
-                from_m[user_id] = instance.costs_from_events(user_id)
+            model = instance.cost_model
+            to_m = model.user_event_matrix(events, instance.users)
+            from_m = model.event_user_matrix(events, instance.users)
+            # Rows already cached keep their list objects.  Each row is
+            # its own list per direction: core/deltas.py appends to them
+            # in place.  Symmetric legs share the float objects.
+            to_rows = to_m.tolist()
+            # Bit patterns, so a -0.0 is never taken for a 0.0.
+            if np.array_equal(to_m.view(np.uint64), from_m.view(np.uint64)):
+                from_rows = [row.copy() for row in to_rows]
+            else:
+                from_rows = from_m.tolist()
+            to_cache = instance._to_event_cache
+            from_cache = instance._from_event_cache
+            for user_id, (to_row, from_row) in enumerate(zip(to_rows, from_rows)):
+                to_cache.setdefault(user_id, to_row)
+                from_cache.setdefault(user_id, from_row)
             self.to_events = to_m
             self.from_events = from_m
             self.round_trip = to_m + from_m

@@ -23,13 +23,22 @@ provided:
 :class:`MatrixCostModel`
     Explicit cost matrices.  Used by tests, by the Knapsack reduction of
     Theorem 1, and wherever full control over costs is needed.
+
+Besides the scalar legs every model answers the two ``|U| x |V|`` user
+matrices in bulk (:meth:`CostModel.user_event_matrix`,
+:meth:`CostModel.event_user_matrix`): one scalar call per pair by
+default and one numpy pass for a Manhattan grid, bit-identical to the
+scalar calls.
 """
 
 from __future__ import annotations
 
 import math
 from abc import ABC, abstractmethod
-from typing import Optional, Sequence
+from itertools import chain
+from typing import Callable, Optional, Sequence
+
+import numpy as np
 
 from .entities import Event, Location, User
 from .exceptions import InvalidInstanceError
@@ -74,6 +83,64 @@ class CostModel(ABC):
     def event_to_user(self, event: Event, user: User) -> float:
         """Cost from the venue back home; symmetric by default."""
         return self.user_to_event(user, event)
+
+    def user_event_matrix(
+        self, events: Sequence[Event], users: Sequence[User]
+    ) -> np.ndarray:
+        """A new ``(|U|, |V|)`` float64 matrix of ``cost(u, v)``, a row
+        per user.
+
+        The default makes one :meth:`user_to_event` call per pair;
+        models that can answer in bulk override it, bit-identically.
+        """
+        return _pairwise(self.user_to_event, events, users)
+
+    def event_user_matrix(
+        self, events: Sequence[Event], users: Sequence[User]
+    ) -> np.ndarray:
+        """``(|U|, |V|)`` float64 matrix of the return legs ``cost(v, u)``,
+        a row per user like :meth:`user_event_matrix`."""
+        return _pairwise(
+            lambda user, event: self.event_to_user(event, user), events, users
+        )
+
+
+def _pairwise(
+    leg: Callable[[User, Event], float],
+    events: Sequence[Event],
+    users: Sequence[User],
+) -> np.ndarray:
+    """One scalar ``leg(user, event)`` call per pair, as a float64 matrix."""
+    out = np.empty((len(users), len(events)), dtype=float)
+    for row, user in enumerate(users):
+        out[row] = [leg(user, event) for event in events]
+    return out
+
+
+#: Coordinates at or above this magnitude keep the per-pair path.  Below
+#: it every integer coordinate, difference and two-term sum is exact in
+#: float64, so the numpy pass equals the scalar model's Python
+#: arithmetic bit for bit even where that arithmetic is on ints (above
+#: 2**53 Python ints stay exact and float64 does not).
+BULK_COORDINATE_LIMIT = 2.0 ** 51
+
+
+def _coordinates(entities: Sequence) -> Optional[np.ndarray]:
+    """``(n, 2)`` float64 locations, or None unless every coordinate is a
+    plain finite ``int``/``float`` below :data:`BULK_COORDINATE_LIMIT`."""
+    locations = [entity.location for entity in entities]
+    if not set(map(type, chain.from_iterable(locations))) <= {int, float}:
+        return None
+    try:
+        coords = np.array(locations, dtype=float)
+    except (OverflowError, ValueError):
+        return None
+    coords = coords.reshape(-1, 2) if coords.size == 0 else coords
+    if coords.shape != (len(entities), 2):
+        return None
+    if not (np.abs(coords) < BULK_COORDINATE_LIMIT).all():  # NaN fails too
+        return None
+    return coords
 
 
 class GridCostModel(CostModel):
@@ -124,6 +191,55 @@ class GridCostModel(CostModel):
 
     def user_to_event(self, user: User, event: Event) -> float:
         return self._cost(user.location, event.location)
+
+    def _manhattan_matrix(
+        self, events: Sequence[Event], users: Sequence[User]
+    ) -> Optional[np.ndarray]:
+        """``cost(u, v)`` for every pair in one numpy pass, or None.
+
+        The same float64 operations as :meth:`_cost` per pair: the two
+        abs-differences ``user - event``, their sum and, when
+        ``integral``, half-even rounding (``np.rint`` as ``round``).
+        None, so the caller goes per pair, for the Euclidean metric
+        (``np.hypot`` is not shown bit-equal to ``math.hypot``), for a
+        subclass that redefines a leg or ``_cost``, and for coordinates
+        :func:`_coordinates` refuses.
+        """
+        cls = type(self)
+        if self.metric != "manhattan" or any(
+            getattr(cls, name) is not getattr(GridCostModel, name)
+            for name in ("user_to_event", "event_to_user", "_cost")
+        ):
+            return None
+        event_xy = _coordinates(events)
+        user_xy = _coordinates(users)
+        if event_xy is None or user_xy is None:
+            return None
+        dist = np.subtract(user_xy[:, 0:1], event_xy[None, :, 0])
+        np.abs(dist, out=dist)
+        dy = np.subtract(user_xy[:, 1:2], event_xy[None, :, 1])
+        np.abs(dy, out=dy)
+        dist += dy
+        if self.integral:
+            np.rint(dist, out=dist)
+        return dist
+
+    def user_event_matrix(
+        self, events: Sequence[Event], users: Sequence[User]
+    ) -> np.ndarray:
+        bulk = self._manhattan_matrix(events, users)
+        if bulk is None:
+            return super().user_event_matrix(events, users)
+        return bulk
+
+    def event_user_matrix(
+        self, events: Sequence[Event], users: Sequence[User]
+    ) -> np.ndarray:
+        # Symmetric: the return leg is the outbound leg.
+        bulk = self._manhattan_matrix(events, users)
+        if bulk is None:
+            return super().event_user_matrix(events, users)
+        return bulk
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (

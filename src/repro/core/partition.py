@@ -100,51 +100,17 @@ class PartitionError(ReproError):
 # ----------------------------------------------------------------------
 # Lemma-1 candidate mask (the user -> cell attachment rule)
 # ----------------------------------------------------------------------
-def _manhattan_dists(instance: USEPInstance) -> Optional[np.ndarray]:
-    """``(|V|, |U|)`` user-to-event costs, vectorised — or None.
-
-    Only for Manhattan :class:`GridCostModel` instances, using the same
-    float64 operations (abs-diff sums, half-even rounding) the scalar
-    model performs per pair, so every entry is bit-identical to a
-    ``cost_model.user_to_event`` call.  These are exactly the values the
-    instance's per-user row caches hold; the partitioner *prefills*
-    each sub-instance's caches from slices of this matrix, which is
-    where most of the partitioned-vs-monolithic wall-clock win comes
-    from on one core — the monolithic array layer pays one Python model
-    call per ``(u, v)`` pair, the partitioned path one vectorised pass.
-    """
-    model = instance.cost_model
-    if not isinstance(model, GridCostModel) or model.metric != "manhattan":
-        return None
-    ev = np.array([e.location for e in instance.events], dtype=float)
-    us = np.array([u.location for u in instance.users], dtype=float)
-    dist = np.abs(ev[:, 0:1] - us[None, :, 0]) + np.abs(
-        ev[:, 1:2] - us[None, :, 1]
-    )
-    if model.integral:
-        dist = np.rint(dist)
-    return dist
-
-
-def candidate_mask(
-    instance: USEPInstance, dists: Optional[np.ndarray] = None
-) -> np.ndarray:
+def candidate_mask(instance: USEPInstance) -> np.ndarray:
     """``(|V|, |U|)`` bool: ``mu(v, u) > 0`` and round-trip within budget.
 
     Exactly the positive-utility Lemma-1 filter of
     :class:`~repro.core.candidates.CandidateIndex`, but computed
     without forcing the monolithic array layer into existence — the
     partitioner's whole point is that only the (much smaller) per-cell
-    layers get built.  Three paths, most exact first:
-
-    * an already-built :class:`~repro.core.arrays.InstanceArrays` with
-      a round-trip matrix is reused verbatim;
-    * a Manhattan :class:`GridCostModel` is vectorised
-      (:func:`_manhattan_dists`; pass ``dists`` to reuse a matrix the
-      caller already computed) with float64 ops bit-identical to the
-      scalar model's;
-    * anything else (matrix models, Euclidean, custom) goes through the
-      instance's exact scalar :meth:`~USEPInstance.round_trip_cost`.
+    layers get built.  An already-built
+    :class:`~repro.core.arrays.InstanceArrays` round-trip matrix is
+    reused verbatim; otherwise the cost model's bulk methods supply
+    both legs, bit-identical to its scalar calls.
     """
     mu = instance.utility_matrix()
     num_events, num_users = instance.num_events, instance.num_users
@@ -154,24 +120,13 @@ def candidate_mask(
 
     arrays = instance._arrays  # noqa: SLF001 - reuse, never force-build
     if arrays is not None and arrays.round_trip is not None:
-        round_trip = arrays.round_trip.T  # (|U|, |V|) -> (|V|, |U|)
+        round_trip = arrays.round_trip
     else:
-        if dists is None:
-            dists = _manhattan_dists(instance)
-        if dists is not None:
-            round_trip = 2.0 * dists
-        else:
-            round_trip = np.array(
-                [
-                    [
-                        instance.round_trip_cost(user_id, event_id)
-                        for user_id in range(num_users)
-                    ]
-                    for event_id in range(num_events)
-                ],
-                dtype=float,
-            )
-    return (mu > 0.0) & (round_trip <= budgets[None, :])
+        model = instance.cost_model
+        round_trip = model.event_user_matrix(instance.events, instance.users)
+        round_trip += model.user_event_matrix(instance.events, instance.users)
+    # (|U|, |V|) -> (|V|, |U|)
+    return (mu > 0.0) & (round_trip.T <= budgets[None, :])
 
 
 # ----------------------------------------------------------------------
@@ -378,8 +333,7 @@ def partition_instance(
         )
     ordered_cells = sorted(buckets, key=lambda c: (c[1], c[0]))
 
-    dists = _manhattan_dists(instance)  # also seeds the cell cost caches
-    mask = candidate_mask(instance, dists)  # (|V|, |U|)
+    mask = candidate_mask(instance)  # (|V|, |U|)
     user_cell_count = np.zeros(instance.num_users, dtype=int)
     members: List[np.ndarray] = []
     for cell in ordered_cells:
@@ -424,18 +378,6 @@ def partition_instance(
             cache_user_costs=instance._cache_user_costs,  # noqa: SLF001
             name=f"{instance.name or 'instance'}[cell {cell[0]},{cell[1]}]",
         )
-        if dists is not None and instance._cache_user_costs:  # noqa: SLF001
-            # Seed the cell's per-user cost-row caches from the matrix
-            # computed above: bit-identical values (same IEEE float64
-            # ops and rounding as the scalar model), so the cell's
-            # array layer skips its per-pair Python build entirely.
-            rows = dists[np.ix_(event_ids, user_ids)].T.tolist()
-            sub._to_event_cache = {  # noqa: SLF001
-                j: row for j, row in enumerate(rows)
-            }
-            sub._from_event_cache = {  # noqa: SLF001
-                j: list(row) for j, row in enumerate(rows)
-            }
         subs.append(
             SubInstance(
                 index=index,

@@ -23,7 +23,10 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from typing import Dict, List, Optional, Sequence, Tuple
+
+import numpy as np
 
 from .core.costs import GridCostModel, MatrixCostModel
 from .core.deltas import (
@@ -87,7 +90,10 @@ def _as_number(value, path: str, minimum: Optional[float] = None) -> float:
     # bool is an int subclass; `true` where a number belongs is a bug.
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise _invalid(path, f"expected a number, got {_type_name(value)}")
-    number = float(value)
+    try:
+        number = float(value)
+    except OverflowError:
+        raise _invalid(path, "integer too large for a float") from None
     if math.isnan(number):
         raise _invalid(path, "NaN is not a valid value")
     if minimum is not None and number < minimum:
@@ -112,10 +118,14 @@ def _as_location(value, path: str) -> Tuple[float, float]:
     coords = _as_array(value, path)
     if len(coords) != 2:
         raise _invalid(path, f"expected [x, y], got {len(coords)} element(s)")
-    return (
+    location = (
         _as_number(coords[0], f"{path}[0]"),
         _as_number(coords[1], f"{path}[1]"),
     )
+    for axis, coord in enumerate(location):
+        if not math.isfinite(coord):
+            raise _invalid(f"{path}[{axis}]", f"must be finite, got {coord}")
+    return location
 
 
 def _decode_cost(value, path: str = "cost") -> float:
@@ -290,6 +300,38 @@ def _user_from_dict(data, path: str) -> User:
         raise _invalid(path, str(exc)) from exc
 
 
+def _utility_cells(rows: List) -> List[List[float]]:
+    """The ``utilities`` rows checked cell by cell, naming the first
+    offending cell's path."""
+    return [
+        [
+            _as_number(cell, f"utilities[{i}][{j}]")
+            for j, cell in enumerate(_as_array(row, f"utilities[{i}]"))
+        ]
+        for i, row in enumerate(rows)
+    ]
+
+
+def _utility_matrix(rows: List):
+    """The ``utilities`` payload as a matrix, or a path-named error.
+
+    Rows that are all lists of plain ``int``/``float`` cells become one
+    float64 array with one NaN check; any other payload (and any array
+    build that fails or holds NaN) takes :func:`_utility_cells`, so a
+    rejection names its cell.  Both paths give the same matrix.
+    """
+    if set(map(type, rows)) <= {list} and set(
+        map(type, chain.from_iterable(rows))
+    ) <= {int, float}:
+        try:
+            matrix = np.array(rows, dtype=float)
+        except (OverflowError, ValueError):  # a huge int, a ragged row
+            matrix = None
+        if matrix is not None and not np.isnan(matrix).any():
+            return matrix
+    return _utility_cells(rows)
+
+
 def instance_from_dict(data) -> USEPInstance:
     """Rebuild an instance from :func:`instance_to_dict` output.
 
@@ -315,12 +357,9 @@ def instance_from_dict(data) -> USEPInstance:
         _user_from_dict(entry, f"users[{i}]")
         for i, entry in enumerate(_as_array(_require(data, "users", "instance"), "users"))
     ]
-    utilities = _as_array(_require(data, "utilities", "instance"), "utilities")
-    for i, row in enumerate(utilities):
-        row = _as_array(row, f"utilities[{i}]")
-        utilities[i] = [
-            _as_number(cell, f"utilities[{i}][{j}]") for j, cell in enumerate(row)
-        ]
+    utilities = _utility_matrix(
+        _as_array(_require(data, "utilities", "instance"), "utilities")
+    )
     model = _cost_model_from_dict(_require(data, "cost_model", "instance"))
     try:
         return USEPInstance(events, users, model, utilities, name=name)

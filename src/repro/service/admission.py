@@ -126,13 +126,17 @@ class Ticket:
 
     ``rung_shift`` is how many ladder rungs the admission pressure
     pushed the request down before solving even starts (0 = primary
-    algorithm at full quality).  The holder must call
-    :meth:`AdmissionController.acquire_slot` /
-    :meth:`~AdmissionController.release` around the solve.
+    algorithm at full quality).  The holder calls
+    :meth:`AdmissionController.acquire_slot` before the solve and hands
+    the ticket to :meth:`~AdmissionController.finish` on every exit
+    path; that settles it whichever stage it reached.
     """
 
     rung_shift: int
     queued_at: float = field(default_factory=time.monotonic)
+    #: ``"queued"``, then ``"running"`` once :meth:`~AdmissionController.
+    #: acquire_slot` grants a slot, ``"settled"`` once counted.
+    stage: str = "queued"
 
 
 @dataclass(frozen=True)
@@ -176,7 +180,7 @@ class AdmissionController:
         Must be called once per ``/solve`` request, before the body is
         parsed (shedding is cheapest when it happens first).  Increments
         ``received``; a returned ``Shed`` is already counted, a
-        ``Ticket`` must be settled via :meth:`settle`.
+        ``Ticket`` must be settled via :meth:`finish`.
         """
         with self._lock:
             self._counters["received"] += 1
@@ -238,6 +242,7 @@ class AdmissionController:
                     # Covers both "expired while queued" and "arrived
                     # already expired" — a doomed request never forks.
                     self._queued -= 1
+                    ticket.stage = "settled"
                     return self._shed_locked(
                         Shed(503, "deadline-exhausted", 0.5)
                     )
@@ -246,23 +251,28 @@ class AdmissionController:
                 self._slots_free.wait(timeout=remaining)
             self._queued -= 1
             self._inflight += 1
+            ticket.stage = "running"
             return None
 
-    def release(self, disposition: str) -> None:
-        """Release the solve slot and settle the request's counter."""
-        with self._slots_free:
-            self._inflight -= 1
-            self._settle_locked(disposition)
-            self._slots_free.notify()
+    def finish(self, ticket: Ticket, disposition: str) -> None:
+        """Settle ``ticket`` once, wherever it got to.
 
-    def settle(self, disposition: str) -> None:
-        """Settle a ticketed request that never acquired a slot.
-
-        Used for requests rejected *after* admission but *before*
-        solving — e.g. a body that fails instance decoding ("invalid").
+        Releases its solve slot when it holds one, and otherwise leaves
+        the queue (a request rejected after admission but before
+        solving, e.g. a body that fails decoding); a ticket already
+        settled, by this or by a shed in :meth:`acquire_slot`, is left
+        alone.  A handler calls it on every exit path, so an error
+        between admission and settlement cannot keep a queue place.
         """
-        with self._lock:
-            self._queued -= 1
+        stage, ticket.stage = ticket.stage, "settled"
+        if stage == "settled":
+            return
+        with self._slots_free:
+            if stage == "running":
+                self._inflight -= 1
+                self._slots_free.notify()
+            else:
+                self._queued -= 1
             self._settle_locked(disposition)
 
     def _settle_locked(self, disposition: str) -> None:

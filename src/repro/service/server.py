@@ -568,7 +568,17 @@ class _Handler(JsonRequestHandler):
             )
             return
         try:
-            handler()
+            prelude = self._admit_and_read()
+            if prelude is None:
+                return
+            raw, ticket = prelude
+            try:
+                handler(raw, ticket)
+            finally:
+                # Every exit path settles the ticket exactly once: an
+                # error the handler did not answer must not keep a
+                # queue place (no-op when the handler settled it).
+                self.server.admission.finish(ticket, "failed")
         except Exception as exc:  # the stay-up guarantee: no traceback
             try:
                 self._send_error_json(
@@ -582,7 +592,8 @@ class _Handler(JsonRequestHandler):
 
         Returns ``(raw_body, ticket)``, or ``None`` when the request was
         already answered (oversize, bad framing, shed).  On success the
-        caller owns the ticket and must settle it exactly once.
+        caller owns the ticket; :meth:`do_POST` settles whatever the
+        handler leaves unsettled.
         """
         admission = self.server.admission
         config = self.server.config
@@ -641,21 +652,17 @@ class _Handler(JsonRequestHandler):
         return payload
 
     # -- POST /instances ----------------------------------------------
-    def _handle_instances(self) -> None:
+    def _handle_instances(self, raw: bytes, ticket: Ticket) -> None:
         """Register an instance for mutation + instance_id solving."""
         admission = self.server.admission
-        prelude = self._admit_and_read()
-        if prelude is None:
-            return
-        raw, _ticket = prelude
         payload = self._parse_object(raw)
         if payload is None:
-            admission.settle("invalid")
+            admission.finish(ticket, "invalid")
             return
         try:
             instance = instance_from_dict(payload.get("instance"))
         except InvalidInstanceError as exc:
-            admission.settle("invalid")
+            admission.finish(ticket, "invalid")
             self._send_error_json(400, _JsonErrors.INVALID_INSTANCE, str(exc))
             return
         entry = self.server.instances.register(instance)
@@ -671,7 +678,7 @@ class _Handler(JsonRequestHandler):
                 )
             durable = entry.journal.degraded is None
             self.server.note_journal(entry)
-        admission.settle("ok")
+        admission.finish(ticket, "ok")
         self._send_json(
             200,
             {
@@ -684,7 +691,7 @@ class _Handler(JsonRequestHandler):
         )
 
     # -- POST /mutate --------------------------------------------------
-    def _handle_mutate(self) -> None:
+    def _handle_mutate(self, raw: bytes, ticket: Ticket) -> None:
         """Apply a typed mutation stream to a registered instance.
 
         The batch applies sequentially under the instance lock; on the
@@ -702,17 +709,13 @@ class _Handler(JsonRequestHandler):
         an acknowledged batch survives SIGKILL.
         """
         admission = self.server.admission
-        prelude = self._admit_and_read()
-        if prelude is None:
-            return
-        raw, _ticket = prelude
         payload = self._parse_object(raw)
         if payload is None:
-            admission.settle("invalid")
+            admission.finish(ticket, "invalid")
             return
         instance_id = payload.get("instance_id")
         if not isinstance(instance_id, str):
-            admission.settle("invalid")
+            admission.finish(ticket, "invalid")
             self._send_error_json(
                 400, _JsonErrors.BAD_ENVELOPE,
                 f"instance_id must be a string, got {type(instance_id).__name__}",
@@ -720,7 +723,7 @@ class _Handler(JsonRequestHandler):
             return
         seq = payload.get("seq")
         if seq is not None and (isinstance(seq, bool) or not isinstance(seq, int) or seq < 0):
-            admission.settle("invalid")
+            admission.finish(ticket, "invalid")
             self._send_error_json(
                 400, _JsonErrors.BAD_ENVELOPE,
                 f"seq must be a non-negative integer, got {seq!r}",
@@ -729,12 +732,12 @@ class _Handler(JsonRequestHandler):
         try:
             mutations = mutations_from_list(payload.get("mutations"))
         except InvalidInstanceError as exc:
-            admission.settle("invalid")
+            admission.finish(ticket, "invalid")
             self._send_error_json(400, _JsonErrors.INVALID_INSTANCE, str(exc))
             return
         entry = self.server.instances.get(instance_id)
         if entry is None:
-            admission.settle("invalid")
+            admission.finish(ticket, "invalid")
             self._send_instance_gone(instance_id)
             return
         applied = 0
@@ -743,7 +746,7 @@ class _Handler(JsonRequestHandler):
         deduped = False
         with entry.lock:
             if entry.evicted:
-                admission.settle("invalid")
+                admission.finish(ticket, "invalid")
                 self._send_instance_gone(instance_id, evicted=True)
                 return
             if (
@@ -803,14 +806,14 @@ class _Handler(JsonRequestHandler):
         if error_detail is not None:
             body["error"] = _JsonErrors.INVALID_INSTANCE
             body["detail"] = error_detail
-            admission.settle("invalid")
+            admission.finish(ticket, "invalid")
             self._send_json(400, body)
             return
-        admission.settle("ok")
+        admission.finish(ticket, "ok")
         self._send_json(200, body)
 
     # -- POST /compact ---------------------------------------------------
-    def _handle_compact(self) -> None:
+    def _handle_compact(self, raw: bytes, ticket: Ticket) -> None:
         """On-demand journal compaction (maintenance endpoint).
 
         Truncates the named instance's replay prefix to one ``snapshot``
@@ -820,17 +823,13 @@ class _Handler(JsonRequestHandler):
         or journaling is off for this worker.
         """
         admission = self.server.admission
-        prelude = self._admit_and_read()
-        if prelude is None:
-            return
-        raw, _ticket = prelude
         payload = self._parse_object(raw)
         if payload is None:
-            admission.settle("invalid")
+            admission.finish(ticket, "invalid")
             return
         instance_id = payload.get("instance_id")
         if not isinstance(instance_id, str):
-            admission.settle("invalid")
+            admission.finish(ticket, "invalid")
             self._send_error_json(
                 400, _JsonErrors.BAD_ENVELOPE,
                 f"instance_id must be a string, got {type(instance_id).__name__}",
@@ -838,12 +837,12 @@ class _Handler(JsonRequestHandler):
             return
         entry = self.server.instances.get(instance_id)
         if entry is None:
-            admission.settle("invalid")
+            admission.finish(ticket, "invalid")
             self._send_instance_gone(instance_id)
             return
         with entry.lock:
             if entry.evicted:
-                admission.settle("invalid")
+                admission.finish(ticket, "invalid")
                 self._send_instance_gone(instance_id, evicted=True)
                 return
             compacted = self.server.compact_entry_locked(entry)
@@ -851,7 +850,7 @@ class _Handler(JsonRequestHandler):
             degraded = (
                 entry.journal is not None and entry.journal.degraded is not None
             )
-        admission.settle("ok")
+        admission.finish(ticket, "ok")
         self._send_json(
             200,
             {
@@ -876,20 +875,14 @@ class _Handler(JsonRequestHandler):
             )
 
     # -- POST /solve ---------------------------------------------------
-    def _handle_solve(self) -> None:
+    def _handle_solve(self, raw: bytes, ticket: Ticket) -> None:
         admission = self.server.admission
-
-        prelude = self._admit_and_read()
-        if prelude is None:
-            return
-        raw, ticket_ = prelude
-        ticket: Ticket = ticket_
         arrival = time.monotonic()
 
         # 4. Hardened decode of the untrusted body.
         parsed = self._decode_body(raw)
         if parsed is None:
-            admission.settle("invalid")
+            admission.finish(ticket, "invalid")
             return  # _decode_body already responded with a 400
         instance, algorithm, deadline_s, entry = parsed
         deadline = arrival + deadline_s
@@ -951,11 +944,11 @@ class _Handler(JsonRequestHandler):
             }
         finally:
             self.server.end_solve(watch)
-            admission.release(disposition)  # noqa: B012 - counter contract
+            admission.finish(ticket, disposition)
         self._send_json(status, body)
 
     # -- POST /subsolve ------------------------------------------------
-    def _handle_subsolve(self) -> None:
+    def _handle_subsolve(self, raw: bytes, ticket: Ticket) -> None:
         """Solve one partition cell for the router's scatter path.
 
         A cell plan is an *input to reconciliation*, not an answer to a
@@ -971,19 +964,14 @@ class _Handler(JsonRequestHandler):
         """
         admission = self.server.admission
         config = self.server.config
-        prelude = self._admit_and_read()
-        if prelude is None:
-            return
-        raw, ticket_ = prelude
-        ticket: Ticket = ticket_
         arrival = time.monotonic()
         parsed = self._decode_body(raw)
         if parsed is None:
-            admission.settle("invalid")
+            admission.finish(ticket, "invalid")
             return
         instance, algorithm, deadline_s, entry = parsed
         if entry is not None:
-            admission.settle("invalid")
+            admission.finish(ticket, "invalid")
             self._send_error_json(
                 400, _JsonErrors.BAD_ENVELOPE,
                 "subsolve takes an inline instance, not an instance_id",
@@ -1056,7 +1044,7 @@ class _Handler(JsonRequestHandler):
             }
         finally:
             self.server.end_solve(watch)
-            admission.release(disposition)
+            admission.finish(ticket, disposition)
         self._send_json(status, body)
 
     def _decode_body(self, raw: bytes):

@@ -10,6 +10,9 @@ registry algorithm on each instance and checks:
   Definition 2 constraints + ``Omega`` recount);
 * every array-kernel solver produces a **bit-identical** planning to
   its preserved ``*-seed`` twin (same utility, same schedules);
+* the array layer's user cost matrices equal one scalar cost-model
+  call per pair, bit for bit — the twins read the same matrices as the
+  kernels, so twin identity alone no longer checks costs;
 * on instances small enough for the exact solver, the DeDP family meets
   Theorem 3's 1/2-approximation bound and the exact optimum is
   capacity-monotone.
@@ -65,8 +68,8 @@ Run it directly::
 The process exits non-zero iff a failure was found (CI uploads the
 ``--out`` file as the failing-seed artifact).
 
-The harness is dependency-free by design — stdlib ``random``/``json``
-plus this package — so it runs anywhere the solvers do.
+The harness needs nothing beyond the stdlib and what this package
+already imports, so it runs anywhere the solvers do.
 """
 
 from __future__ import annotations
@@ -80,6 +83,8 @@ import sys
 import time
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Mapping, Optional, Sequence, Tuple
+
+import numpy as np
 
 from ..algorithms.base import Solver
 from ..algorithms.registry import available_solvers, make_solver
@@ -125,7 +130,8 @@ class FuzzFinding:
     Attributes:
         solver: Registry name of the offending solver (or the twin pair
             / certificate name for cross-solver checks).
-        kind: ``"crash" | "oracle" | "twin" | "certificate"``.
+        kind: ``"crash" | "oracle" | "twin" | "cost-matrix" |
+            "certificate"``.
         message: What went wrong, with the recomputed numbers.
     """
 
@@ -249,6 +255,54 @@ def random_config(rng: random.Random) -> SyntheticConfig:
     )
 
 
+def check_cost_matrices(instance: USEPInstance) -> List[FuzzFinding]:
+    """The array layer's ``to_events``/``from_events`` against the scalar
+    model: one ``CostModel`` call per pair, compared bit for bit."""
+    arrays = instance.arrays()
+    if arrays.to_events is None:  # the instance caches no user costs
+        return []
+    model = instance.cost_model
+    legs = (
+        ("to_events", arrays.to_events, model.user_to_event),
+        (
+            "from_events",
+            arrays.from_events,
+            lambda user, event: model.event_to_user(event, user),
+        ),
+    )
+    findings: List[FuzzFinding] = []
+    shape = (instance.num_users, instance.num_events)
+    for name, matrix, leg in legs:
+        expected = np.array(
+            [[leg(user, event) for event in instance.events] for user in instance.users],
+            dtype=float,
+        ).reshape(shape)
+        if matrix.shape != shape:
+            findings.append(
+                FuzzFinding(
+                    "InstanceArrays",
+                    "cost-matrix",
+                    f"{name} has shape {matrix.shape}, expected {shape}",
+                )
+            )
+            continue
+        # Bit patterns, so -0.0 vs 0.0 and NaN payloads count too.
+        bad = np.argwhere(matrix.view(np.uint64) != expected.view(np.uint64))
+        if len(bad):
+            user_id, event_id = (int(i) for i in bad[0])
+            findings.append(
+                FuzzFinding(
+                    "InstanceArrays",
+                    "cost-matrix",
+                    f"{name}[{user_id}][{event_id}] is "
+                    f"{float(matrix[user_id, event_id])!r}, the scalar model "
+                    f"says {float(expected[user_id, event_id])!r} "
+                    f"({len(bad)} cell(s) differ)",
+                )
+            )
+    return findings
+
+
 def check_instance(
     instance: USEPInstance,
     algorithms: Sequence[str],
@@ -266,7 +320,12 @@ def check_instance(
         certify: Also run the exact-solver certification pass when the
             instance is small enough.
     """
-    findings: List[FuzzFinding] = []
+    try:
+        findings: List[FuzzFinding] = check_cost_matrices(instance)
+    except Exception as exc:  # noqa: BLE001 - a crash is a finding too
+        findings = [
+            FuzzFinding("InstanceArrays", "crash", f"{type(exc).__name__}: {exc}")
+        ]
     plannings: Dict[str, object] = {}
 
     factories: List[Tuple[str, Callable[[], Solver]]] = [

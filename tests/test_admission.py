@@ -133,7 +133,7 @@ class TestAdmission:
         shed = ctrl.acquire_slot(queued, time.monotonic() + 0.05)
         assert isinstance(shed, Shed)
         assert shed.reason == "deadline-exhausted"
-        ctrl.release("ok")
+        ctrl.finish(holder, "ok")
 
     def test_release_wakes_queued_waiter(self):
         ctrl = self._controller()
@@ -148,10 +148,10 @@ class TestAdmission:
         thread = threading.Thread(target=waiter)
         thread.start()
         time.sleep(0.05)
-        ctrl.release("ok")
+        ctrl.finish(holder, "ok")
         thread.join(timeout=5)
         assert got == [None]
-        ctrl.release("degraded")
+        ctrl.finish(queued, "degraded")
 
     def test_drain_sheds_new_requests(self):
         ctrl = self._controller()
@@ -165,10 +165,10 @@ class TestAdmission:
         ctrl = self._controller(max_inflight=1, queue_depth=1)
         t1 = ctrl.admit()
         assert ctrl.acquire_slot(t1, time.monotonic() + 5) is None
-        ctrl.admit()  # queued ticket -> settle as invalid below
+        t2 = ctrl.admit()  # queued ticket -> settle as invalid below
         ctrl.admit()  # queue full -> shed
-        ctrl.settle("invalid")
-        ctrl.release("ok")
+        ctrl.finish(t2, "invalid")
+        ctrl.finish(t1, "ok")
         snap = ctrl.snapshot()
         counters = snap["counters"]
         assert counters["received"] == 3
@@ -187,4 +187,4 @@ class TestAdmission:
         ticket = ctrl.admit()
         assert ctrl.acquire_slot(ticket, time.monotonic() + 5) is None
         with pytest.raises(ValueError):
-            ctrl.release("mystery")
+            ctrl.finish(ticket, "mystery")

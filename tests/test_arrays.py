@@ -6,8 +6,11 @@ import numpy as np
 import pytest
 
 from repro.algorithms import make_solver
+from repro.algorithms.base import warm_instance
 from repro.core.arrays import InstanceArrays, get_arrays
+from repro.core.deltas import AddEvent, AddUser, apply_mutation
 from repro.datagen import SyntheticConfig, generate_instance
+from repro.variants import apply_participation_fees
 
 
 @pytest.fixture(scope="module")
@@ -132,3 +135,117 @@ class TestUncachedUserCosts:
         uncached_planning = make_solver(name).solve(uncached)
         assert cached_planning.as_dict() == uncached_planning.as_dict()
         assert cached_planning.total_utility() == uncached_planning.total_utility()
+
+
+def _fresh(seed=7, **dims):
+    config = dict(num_events=8, num_users=12, mean_capacity=3, grid_size=20)
+    config.update(dims)
+    return generate_instance(SyntheticConfig(seed=seed, **config))
+
+
+def _scalar_matrices(instance):
+    """``(to, from)`` from one scalar cost-model call per pair."""
+    model = instance.cost_model
+    to_m = [[model.user_to_event(u, v) for v in instance.events] for u in instance.users]
+    from_m = [[model.event_to_user(v, u) for v in instance.events] for u in instance.users]
+    return np.array(to_m, dtype=float), np.array(from_m, dtype=float)
+
+
+class TestBulkUserMatrices:
+    """The user matrices come from the cost model's bulk methods."""
+
+    def test_matrices_equal_the_scalar_legs_bit_for_bit(self):
+        instance = _fresh()
+        arrays = instance.arrays()
+        to_m, from_m = _scalar_matrices(instance)
+        assert arrays.to_events.tobytes() == to_m.tobytes()
+        assert arrays.from_events.tobytes() == from_m.tobytes()
+
+    def test_manhattan_build_makes_no_scalar_calls(self, monkeypatch):
+        instance = _fresh()
+        model = instance.cost_model
+        calls = []
+        scalar = model.user_to_event
+        monkeypatch.setattr(
+            model, "user_to_event", lambda u, v: calls.append(1) or scalar(u, v)
+        )
+        instance.arrays()
+        assert calls == []
+
+    def test_row_caches_filled_without_shared_lists(self):
+        instance = _fresh()
+        arrays = instance.arrays()
+        to_cache = instance._to_event_cache
+        from_cache = instance._from_event_cache
+        assert sorted(to_cache) == sorted(from_cache) == list(range(instance.num_users))
+        for user_id in range(instance.num_users):
+            assert to_cache[user_id] == arrays.to_events[user_id].tolist()
+            assert from_cache[user_id] == arrays.from_events[user_id].tolist()
+            # core/deltas.py appends to both in place.
+            assert to_cache[user_id] is not from_cache[user_id]
+
+    def test_rows_cached_before_the_build_are_kept(self):
+        instance = _fresh()
+        early = instance.costs_to_events(3)
+        instance.arrays()
+        assert instance.costs_to_events(3) is early
+
+    def test_add_event_appends_one_cost_per_row_and_direction(self):
+        instance = _fresh()
+        arrays = instance.arrays()
+        before = instance.num_events
+        apply_mutation(
+            instance,
+            AddEvent(
+                location=(4.0, 9.0),
+                capacity=2,
+                start=1.0,
+                end=3.0,
+                utilities=tuple(0.5 for _ in range(instance.num_users)),
+            ),
+        )
+        for cache in (instance._to_event_cache, instance._from_event_cache):
+            assert all(len(row) == before + 1 for row in cache.values())
+        to_m, from_m = _scalar_matrices(instance)
+        assert arrays.to_events.tobytes() == to_m.tobytes()
+        assert arrays.from_events.tobytes() == from_m.tobytes()
+        for user_id in range(instance.num_users):
+            assert instance.costs_to_events(user_id) == to_m[user_id].tolist()
+            assert instance.costs_from_events(user_id) == from_m[user_id].tolist()
+
+    def test_add_user_after_the_build(self):
+        instance = _fresh()
+        arrays = instance.arrays()
+        apply_mutation(
+            instance,
+            AddUser(
+                location=(2.0, 3.0),
+                budget=40.0,
+                utilities=tuple(0.25 for _ in range(instance.num_events)),
+            ),
+        )
+        to_m, from_m = _scalar_matrices(instance)
+        assert arrays.to_events.tobytes() == to_m.tobytes()
+        assert arrays.from_events.tobytes() == from_m.tobytes()
+
+    def test_asymmetric_fee_model_keeps_its_directions_apart(self):
+        base = _fresh()
+        fees = {v: 1.0 + v for v in range(base.num_events)}
+        instance = apply_participation_fees(base, fees)
+        arrays = instance.arrays()
+        to_m, from_m = _scalar_matrices(instance)
+        assert arrays.to_events.tobytes() == to_m.tobytes()
+        assert arrays.from_events.tobytes() == from_m.tobytes()
+        # entry carries the fee, the way home does not
+        np.testing.assert_array_equal(
+            arrays.to_events - arrays.from_events,
+            np.tile([fees[v] for v in range(base.num_events)], (base.num_users, 1)),
+        )
+
+    def test_warm_instance_builds_everything(self):
+        instance = _fresh()
+        warm_instance(instance)
+        assert instance._arrays is not None
+        assert instance._vv_cost is not None
+        assert len(instance._to_event_cache) == instance.num_users
+        assert len(instance._from_event_cache) == instance.num_users

@@ -95,3 +95,22 @@ class TestGuard:
         monkeypatch.setattr(guard, "check_recovery", lambda: None)
         out = str(tmp_path / "fresh.json")
         assert guard.check(str(ledger), out, repeats=1, tolerance=0.2) == code
+
+    @pytest.mark.parametrize(
+        ("speedup", "ratio", "oracle_ok", "failed"),
+        [
+            (0.9, 0.998, True, False),  # no one-box speedup: recorded only
+            (3.0, 0.94, True, True),  # below the 0.95 utility floor
+            (3.0, 0.998, False, True),  # merged plan fails the oracle
+        ],
+    )
+    def test_partition_block_guards_quality_not_speed(
+        self, speedup, ratio, oracle_ok, failed
+    ):
+        guard = _load_guard()
+        fresh = {
+            "partition": {"algorithm": "DeDPO", "cells": 4, "speedup": speedup,
+                          "utility_ratio": ratio, "partitioned_s": 14.0,
+                          "monolithic_s": 14.0 * speedup, "oracle_ok": oracle_ok},
+        }
+        assert (guard.check_partition(fresh) is not None) == failed

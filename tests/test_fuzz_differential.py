@@ -173,6 +173,63 @@ class TestBrokenSolversAreCaught:
         assert not report.ok
         assert any(f.kind == "twin" for f in report.findings)
 
+    def test_bulk_cost_matrix_divergence_caught(self, monkeypatch):
+        # the twins read the same matrices as the kernels, so only the
+        # cost-matrix check can see a bulk build that drifts
+        from repro.core.costs import GridCostModel
+
+        vectorised = GridCostModel.user_event_matrix
+
+        def off_by_one(self, events, users):
+            matrix = vectorised(self, events, users)
+            matrix[:1, :1] += 1.0
+            return matrix
+
+        monkeypatch.setattr(GridCostModel, "user_event_matrix", off_by_one)
+        report = run_fuzz(
+            seed=4, max_instances=5, algorithms=["DeGreedy"], certify=False,
+            shrink=False,
+        )
+        assert not report.ok
+        finding = report.findings[0]
+        assert (finding.solver, finding.kind) == ("InstanceArrays", "cost-matrix")
+        assert finding.message.startswith("to_events[0][0]")
+
+    def test_bulk_cost_matrix_crash_is_a_finding(self, monkeypatch, tmp_path):
+        # a raise in the array build is recorded, shrunk and dumped like
+        # a solver crash, not a traceback that ends the campaign
+        from repro.core.costs import GridCostModel
+
+        def broken(self, events, users):
+            raise OverflowError("bulk build broke")
+
+        monkeypatch.setattr(GridCostModel, "user_event_matrix", broken)
+        out = tmp_path / "fuzz_failure.json"
+        report = run_fuzz(
+            seed=4, max_instances=5, algorithms=["DeGreedy"], certify=False,
+            out_path=str(out),
+        )
+        assert not report.ok
+        finding = report.findings[0]
+        assert (finding.solver, finding.kind) == ("InstanceArrays", "crash")
+        assert finding.message == "OverflowError: bulk build broke"
+        assert report.shrunk_config is not None
+        payload = json.loads(out.read_text())
+        assert payload["findings"][0]["kind"] == "crash"
+
+    def test_cost_matrix_check_passes_on_every_model(self):
+        from repro.datagen import SyntheticConfig, generate_instance
+        from repro.reductions import knapsack_to_usep
+        from repro.variants import apply_participation_fees
+
+        grid = generate_instance(SyntheticConfig(seed=2, num_events=5, num_users=7))
+        for instance in (
+            grid,
+            apply_participation_fees(grid, {0: 2.0, 3: 1.5}),
+            knapsack_to_usep([3.0, 5.0, 2.0], [2, 4, 1], 6),
+        ):
+            assert fuzz.check_cost_matrices(instance) == []
+
     def test_replay_without_extra_solver_is_clean(self, tmp_path):
         """A repro whose bug lived in an unregistered solver replays clean
         when that solver is not re-supplied — the registry itself is fine."""

@@ -16,8 +16,10 @@ import copy
 import json
 import random
 
+import numpy as np
 import pytest
 
+from repro import io as repro_io
 from repro.core import InvalidInstanceError
 from repro.io import instance_from_dict, instance_to_dict
 from repro.paper_example import build_example_instance
@@ -150,3 +152,118 @@ class TestMutationFuzz:
         data = instance_to_dict(build_example_instance())
         rebuilt = instance_from_dict(copy.deepcopy(data))
         assert instance_to_dict(rebuilt) == data
+
+
+#: A number no float64 can hold: ``float()`` overflows on it.
+_HUGE_INT = 10**400
+
+
+def _utilities_outcome(decode, rows):
+    """What one utilities decode path makes of ``rows``: the matrix's
+    bits, the ragged rows it passed on, or the error message."""
+    try:
+        value = decode(copy.deepcopy(rows))
+    except InvalidInstanceError as exc:
+        return ("error", str(exc))
+    try:
+        matrix = np.asarray(value, dtype=float)
+    except ValueError:  # ragged: USEPInstance rejects its shape later
+        return ("ragged", value)
+    return ("matrix", matrix.shape, matrix.tobytes())
+
+
+class TestUtilitiesFastPath:
+    """The one-array utilities decode agrees with the per-cell path."""
+
+    BASE = [[0.5, 1, 0], [0.0, 0.25, 1.0]]
+
+    @pytest.mark.parametrize(
+        "case, mutate, expected",
+        [
+            ("valid", lambda rows: None, "matrix"),
+            ("inf", lambda rows: rows[1].__setitem__(0, float("inf")), "matrix"),
+            ("bool", lambda rows: rows[0].__setitem__(1, True), "error"),
+            ("numeric string", lambda rows: rows[1].__setitem__(2, "0.5"), "error"),
+            ("nan", lambda rows: rows[0].__setitem__(2, float("nan")), "error"),
+            ("ragged row", lambda rows: rows[1].pop(), "ragged"),
+            ("tuple row", lambda rows: rows.__setitem__(0, (0.5, 1, 0)), "matrix"),
+            ("huge int", lambda rows: rows[1].__setitem__(1, _HUGE_INT), "error"),
+        ],
+    )
+    def test_same_matrix_or_same_error(self, case, mutate, expected):
+        rows = copy.deepcopy(self.BASE)
+        mutate(rows)
+        fast = _utilities_outcome(repro_io._utility_matrix, rows)
+        cells = _utilities_outcome(repro_io._utility_cells, rows)
+        assert fast == cells
+        assert fast[0] == expected
+
+    def test_plain_numeric_rows_take_one_array(self):
+        assert isinstance(repro_io._utility_matrix(self.BASE), np.ndarray)
+
+    def test_rejections_keep_their_path(self):
+        data = instance_to_dict(build_example_instance())
+        data["utilities"][1][2] = _HUGE_INT
+        with pytest.raises(InvalidInstanceError) as excinfo:
+            instance_from_dict(data)
+        assert "utilities[1][2]" in str(excinfo.value)
+        data["utilities"][1][2] = float("nan")
+        with pytest.raises(InvalidInstanceError, match=r"utilities\[1\]\[2\]"):
+            instance_from_dict(data)
+
+    def test_fast_decode_round_trips(self):
+        data = instance_to_dict(build_example_instance())
+        rebuilt = instance_from_dict(json.loads(json.dumps(data)))
+        assert instance_to_dict(rebuilt) == data
+
+
+class TestUnrepresentableNumbers:
+    """Numbers a float cannot hold are typed, path-named 400s."""
+
+    @pytest.mark.parametrize(
+        "mutate, path_fragment",
+        [
+            (lambda d: d["users"][0].update(budget=_HUGE_INT), "users[0].budget"),
+            (lambda d: d["events"][1].update(start=-_HUGE_INT), "events[1].start"),
+            (
+                lambda d: d["events"][0]["location"].__setitem__(1, _HUGE_INT),
+                "events[0].location[1]",
+            ),
+            (
+                lambda d: d["users"][1]["location"].__setitem__(0, float("inf")),
+                "users[1].location[0]",
+            ),
+            (
+                lambda d: d["events"][2]["location"].__setitem__(0, -float("inf")),
+                "events[2].location[0]",
+            ),
+        ],
+    )
+    def test_typed_error_names_the_value(self, mutate, path_fragment):
+        data = instance_to_dict(build_example_instance())
+        mutate(data)
+        with pytest.raises(InvalidInstanceError) as excinfo:
+            instance_from_dict(data)
+        assert path_fragment in str(excinfo.value)
+
+    def test_json_overflowing_float_literal_is_rejected(self):
+        # json.loads reads 1e400 as inf
+        body = json.dumps(instance_to_dict(build_example_instance()))
+        body = body.replace('"location": [', '"location": [1e400, ', 1)
+        data = json.loads(body)
+        data["events"][0]["location"].pop()
+        with pytest.raises(InvalidInstanceError, match=r"events\[0\]\.location\[0\]"):
+            instance_from_dict(data)
+
+    def test_huge_int_anywhere_numeric_is_a_typed_error(self):
+        data = instance_to_dict(build_example_instance())
+        numeric = [
+            path
+            for path, value in _paths(data)
+            if isinstance(value, (int, float)) and not isinstance(value, bool)
+        ]
+        assert numeric
+        for path in numeric:
+            mutated = copy.deepcopy(data)
+            _set_path(mutated, path, _HUGE_INT)
+            _assert_decodes_or_typed_error(mutated)

@@ -32,6 +32,7 @@ from repro.core.partition import (
     MAX_REPLICATION_RATIO_LARGE,
     REPLICATION_STRICT_BELOW_USERS,
     PartitionError,
+    candidate_mask,
     partition_instance,
     reconcile,
 )
@@ -75,6 +76,51 @@ def two_district_instance(side_users=8, central_users=2, capacity=2):
     for u in range(side_users, side_users + central_users):
         mu[:, u] = 0.9  # candidates in every cell
     return USEPInstance(events, users, GridCostModel(), mu)
+
+
+class TestCandidateMask:
+    """The cut's attachment rule equals the scalar Lemma-1 filter."""
+
+    @staticmethod
+    def scalar_mask(instance):
+        return np.array(
+            [
+                [
+                    instance.utility(v, u) > 0.0
+                    and instance.round_trip_cost(u, v) <= instance.users[u].budget
+                    for u in range(instance.num_users)
+                ]
+                for v in range(instance.num_events)
+            ]
+        )
+
+    def test_matches_scalar_filter_without_building_arrays(self):
+        from repro.reductions import knapsack_to_usep
+        from repro.variants import apply_participation_fees
+
+        grid = generate_clustered_instance(FRIENDLY_CONFIG)
+        for instance in (
+            grid,
+            apply_participation_fees(grid, {v: 3.0 for v in range(0, 40, 3)}),
+            knapsack_to_usep([3.0, 5.0, 2.0], [2, 4, 1], 6),
+        ):
+            mask = candidate_mask(instance)
+            assert instance._arrays is None  # the cut never forces it
+            np.testing.assert_array_equal(mask, self.scalar_mask(instance))
+
+    def test_cells_build_their_own_cost_rows(self):
+        partition = partition_instance(
+            generate_clustered_instance(FRIENDLY_CONFIG), cells=4
+        )
+        for sub in partition.cells:
+            cell = sub.instance
+            assert cell._to_event_cache == {}  # nothing prefilled
+            arrays = cell.arrays()
+            model = cell.cost_model
+            for user in cell.users:
+                expected = [model.user_to_event(user, v) for v in cell.events]
+                assert arrays.to_events[user.id].tolist() == expected
+                assert cell.costs_from_events(user.id) == expected
 
 
 class TestSingleCellDegenerate:

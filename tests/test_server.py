@@ -1144,3 +1144,67 @@ class TestByIdSolveIsolation:
         cold = make_solver(config.default_algorithm).solve(own)
         served = planning_from_serialised(own, {"schedules": body["schedules"]})
         assert canonical_planning_bytes(served) == canonical_planning_bytes(cold)
+
+
+class TestUnrepresentableNumbersKeepAdmission:
+    """A number no float can hold is a 400, and never keeps a queue
+    place: before, each such body got a 500 and left ``queued`` one
+    higher until the queue was full and every request was shed."""
+
+    HUGE = 10**400  # json.dumps writes all 401 digits
+
+    def test_daemon_answers_400s_then_serves_and_drains(self, example_payload):
+        from repro.service.router import ServeDaemon, request_json
+
+        instance = instance_to_dict(build_example_instance())
+        bad_instance = json.loads(json.dumps(instance))
+        bad_instance["users"][0]["budget"] = self.HUGE
+        bodies = [("/solve", {"instance": bad_instance, "algorithm": "DeDP"})] * 8
+        bodies += [("/instances", {"instance": bad_instance})] * 2
+        bodies += [
+            (
+                "/mutate",
+                {
+                    "instance_id": "unregistered",
+                    "mutations": [
+                        {"op": "budget_change", "user_id": 0, "budget": self.HUGE}
+                    ],
+                },
+            )
+        ] * 2
+        # more bodies than the default admission capacity (2 + 8)
+        assert len(bodies) == 12
+        with ServeDaemon() as daemon:
+            for path, payload in bodies:
+                status, body = request_json(daemon.base_url, path, payload)
+                assert status == 400, (path, body)
+                assert body["error"] == "invalid-instance"
+                assert "integer too large" in body["detail"]
+            status, body = request_json(daemon.base_url, "/solve", example_payload)
+            assert (status, body["status"]) == (200, "ok")
+            status, stats = request_json(daemon.base_url, "/stats")
+            assert status == 200
+            assert (stats["queued"], stats["inflight"]) == (0, 0)
+            counters = stats["counters"]
+            assert counters["invalid"] == 12 and counters["ok"] == 1
+            assert counters["received"] == 13 and counters["shed"] == 0
+        assert daemon.exit_code == 0
+
+    def test_escaped_error_settles_its_ticket(self, monkeypatch, example_payload):
+        """Whatever a handler fails to answer, its ticket is settled."""
+        import repro.service.server as server_mod
+
+        def broken(_payload):
+            raise RuntimeError("decoder bug")
+
+        monkeypatch.setattr(server_mod, "instance_from_dict", broken)
+        srv = _start(ServerConfig(in_process=True, memory_limit_bytes=None))
+        try:
+            for _ in range(12):
+                status, body, _ = _request(srv, "/solve", payload=example_payload)
+                assert (status, body["error"]) == (500, "internal")
+            stats = _request(srv, "/stats")[1]
+            assert (stats["queued"], stats["inflight"]) == (0, 0)
+            assert stats["counters"]["failed"] == 12
+        finally:
+            srv.shutdown()

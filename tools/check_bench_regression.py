@@ -11,8 +11,11 @@ re-solve after every mutation (docs/dynamic.md) — and fails when the
 delta-vs-cold speedup drops below the hard 10x floor the ledger
 promises; it likewise re-measures the partition block — the huge
 clustered instance cut into grid cells (docs/partitioning.md) — and
-fails when the partitioned solve loses its 2x wall-clock edge over the
-monolithic one or keeps less than 95% of its utility.  The committed
+fails when the merged plan fails the oracle or keeps less than 95% of
+the monolithic utility.  The block's partitioned-vs-monolithic
+speedup is printed and recorded but not asserted: since the cost
+matrices are built in bulk, the partitioned path is no faster than the
+monolithic one on one box (it is for the fleet's scatter path).  The committed
 ``serving_multiworker`` block's scaling efficiency is asserted where
 the recording box had the cores to scale (fleets larger than the
 stamped ``cpu_count`` are hardware-capped, not regressions, and are
@@ -67,12 +70,11 @@ def _speedups(payload: Dict[str, object]) -> Dict[Tuple[str, str], float]:
 #: same machine, so runner speed cancels out of it.
 CHURN_SPEEDUP_FLOOR = 10.0
 
-#: Hard floors on the partition block: partitioned-vs-monolithic solve
-#: of the huge clustered instance must stay >= 2x faster while keeping
-#: >= 95% of the monolithic utility (docs/partitioning.md).  Absolute
-#: like the churn floor: both sides are measured interleaved in the
-#: same process, so runner speed cancels out of the ratio.
-PARTITION_SPEEDUP_FLOOR = 2.0
+#: Hard floor on the partition block: the merged plan of the huge
+#: clustered instance must keep >= 95% of the monolithic utility
+#: (docs/partitioning.md).  Its one-box speedup is recorded, not
+#: asserted: it measured the per-pair cost build the monolithic side
+#: no longer pays (EXPERIMENTS.md, EX-PART).
 PARTITION_UTILITY_FLOOR = 0.95
 
 #: Hard floor on the recovery block's compacted-vs-uncompacted journal
@@ -101,16 +103,11 @@ def check_partition(fresh: Dict[str, object]) -> Optional[str]:
         f"\npartition guard [{block['algorithm']}+grid[{block['cells']}]]: "
         f"partitioned {float(block['partitioned_s']):.1f} s vs monolithic "
         f"{float(block['monolithic_s']):.1f} s -> {speedup:.2f}x "
-        f"(floor {PARTITION_SPEEDUP_FLOOR:.0f}x), utility ratio "
+        f"(recorded, not asserted), utility ratio "
         f"{ratio:.4f} (floor {PARTITION_UTILITY_FLOOR})"
     )
     if not block.get("oracle_ok"):
         return "partition block's merged plan lost oracle feasibility"
-    if speedup < PARTITION_SPEEDUP_FLOOR:
-        return (
-            f"partitioned solve speedup {speedup:.2f}x fell below the "
-            f"{PARTITION_SPEEDUP_FLOOR:.0f}x floor at the huge scale"
-        )
     if ratio < PARTITION_UTILITY_FLOOR:
         return (
             f"partitioned solve kept only {ratio:.4f} of the monolithic "
