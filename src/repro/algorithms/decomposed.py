@@ -24,7 +24,7 @@ Step 1 runs through the incremental scheduling engine
 (:mod:`repro.core.candidates`, ``docs/performance.md``): the per-user
 candidate scan walks the precomputed Lemma 1 candidate index (events
 with positive utility whose round trip fits the budget, already in
-end-time order), so the scheduler receives pre-pruned candidate arrays;
+end-time order), so the scheduler receives pre-pruned candidate lists;
 and each scheduler call is dirty-checked against the user's last
 candidate view, so a re-solve on the same instance reschedules only
 users whose decomposed utilities actually changed.  Both layers are
@@ -168,45 +168,38 @@ class DecomposedSolver(Solver):
         scheduler_calls = 0
         reassignments = 0
 
-        # Steal-cached vectorised scan: a pool's decomposed-utility
-        # offset (``mu(v_i, owner)`` of its best steal) only changes
-        # when a copy is assigned, so between assigns the per-user scan
-        # can gather cached offsets with one numpy fancy-index instead
-        # of validating every candidate pool's heap per user.  The
-        # resulting views and schedules are bit-identical to the
+        # Steal-cached list scan: a pool's decomposed-utility offset
+        # (``mu(v_i, owner)`` of its best steal) only changes when a copy
+        # is assigned, so between assigns the per-user scan reads cached
+        # offsets from plain lists instead of validating every candidate
+        # pool's heap per user.  ``steal_off`` stays 0.0 until the pool
+        # saturates, so ``mu - steal_off`` is the unsaturated value
+        # exactly; the views and schedules are bit-identical to the
         # per-candidate ``pick`` scan below, which remains for the
         # index-less fallback.
         fast_scan = index is not None
         if fast_scan:
-            mu_arr = instance.arrays().mu
             memo = engine.memo
-            per_user_np = index.per_user_np
-            sat_mask = np.zeros(num_events, dtype=bool)
-            steal_mu = np.zeros(num_events, dtype=float)
-            steal_k = np.zeros(num_events, dtype=np.intp)
+            steal_off = [0.0] * num_events
+            steal_k = [0] * num_events
 
             def note_assigned(event_id: int, pool: _PseudoEventPool) -> None:
                 if pool.next_free >= pool.capacity:
                     owner_mu, k = pool.peek_steal(event_utils[event_id])
-                    steal_mu[event_id] = owner_mu
+                    steal_off[event_id] = owner_mu
                     steal_k[event_id] = k
-                    sat_mask[event_id] = True
 
         for r in range(num_users):
             deadline.check()
             scheduler_calls += 1
             if fast_scan:
-                cands = per_user_np[r]
-                if cands.size:
-                    prime = mu_arr[cands, r] - np.where(
-                        sat_mask[cands], steal_mu[cands], 0.0
-                    )
-                    pos = prime > 0.0
-                    kept = cands[pos].tolist()
-                    vals = prime[pos].tolist()
-                else:
-                    kept = []
-                    vals = []
+                kept: List[int] = []
+                vals: List[float] = []
+                for v in per_user_candidates[r]:
+                    prime = event_utils[v][r] - steal_off[v]
+                    if prime > 0.0:
+                        kept.append(v)
+                        vals.append(prime)
                 view = (tuple(kept), tuple(vals))
                 schedule = memo.get(memo_kind, r, view)
                 if schedule is None:

@@ -27,31 +27,45 @@ Implementation notes:
   budget) is applied first, exactly as Algorithm 2 line 1 does.
 
 :func:`dp_single` is the array-backed kernel: it reads the instance's
-precomputed :class:`~repro.core.arrays.InstanceArrays` (cost matrices,
-global end-time order) instead of re-sorting and re-deriving costs per
-call.  States are plain tuples ``(T, -omega, pred_index, prev_state)``
-linked into predecessor chains; storing *negated* utilities makes a
-single ascending tuple sort order duplicate-cost groups exactly like the
-seed's dict (first writer wins: highest utility first, then earliest
-predecessor — each predecessor's shifted frontier has strictly
-increasing costs, so the sort never ties past the predecessor index).
-The strict Pareto pass over the sorted buffer then both prunes dominated
-states and discards duplicate-cost losers in one comparison per state,
-so the scalar merge needs no per-transition dict lookups at all.  The
-per-candidate budget cut ``T + cost(v_i, u) <= b_u`` is precomputed as
-the largest representable ``T`` satisfying it (a couple of
-``math.nextafter`` steps), saving one float add per transition while
-keeping float decisions bit-identical.  The merge itself stays scalar
-on purpose: a numpy variant that batched the ``t_new``/budget/Pareto
-updates over each predecessor's whole frontier was measured 2-5x
-*slower* at every realistic frontier size (per-candidate dispatch
-overhead dominates; see EXPERIMENTS.md), so the vectorisation lives in
-the per-call setup (predecessor table, leg submatrix) and in the Step-1
-selection kernels of the callers.  The kernel implements exactly the
-seed's tie-breaking (first writer wins on equal utility at equal cost;
-earlier candidates win global ties), so plannings are bit-identical to
+precomputed tables instead of re-sorting and re-deriving costs per
+call.  Its setup is plain Python over lists, because a user's kept
+candidates number a few dozen at most and numpy's per-call cost does
+not pay off on arrays that small: the predecessor bounds ``l_i`` come
+from one ``bisect_left`` per candidate over the kept candidates' global
+slots (:attr:`~repro.core.arrays.InstanceArrays.pos_list` and the
+instance's ``l_index``), and the merge reads each leg straight from the
+instance's column lists
+(:attr:`~repro.core.arrays.InstanceArrays.vv_cols`), with no per-call
+submatrix.  States are plain tuples ``(T, -omega, pred_index,
+prev_state)`` linked into predecessor chains; storing *negated*
+utilities makes a single ascending tuple sort order duplicate-cost
+groups exactly like the seed's dict (first writer wins: highest utility
+first, then earliest predecessor — each predecessor's shifted frontier
+has strictly increasing costs, so the sort never ties past the
+predecessor index).  The strict Pareto pass over the sorted buffer then
+both prunes dominated states and discards duplicate-cost losers in one
+comparison per state, so the scalar merge needs no per-transition dict
+lookups at all.  The per-candidate budget cut ``T + cost(v_i, u) <=
+b_u`` is precomputed as the largest representable ``T`` satisfying it
+(a couple of ``math.nextafter`` steps), saving one float add per
+transition while keeping float decisions bit-identical.  The merge
+itself stays scalar on purpose: a numpy variant that batched the
+``t_new``/budget/Pareto updates over each predecessor's whole frontier
+was measured 2-5x *slower* at every realistic frontier size
+(per-candidate dispatch overhead dominates; see EXPERIMENTS.md).
+
+On top of the Pareto pruning, the merge skips every transition that
+cannot reach the best schedule: ``UB_i``, the summed utility of the
+candidates that can follow candidate ``i``, caps what a chain through
+``i`` can still gain, so a predecessor state whose utility plus
+``u_i`` plus ``UB_i`` falls short of the best complete schedule found
+so far (by more than a relative 1e-9, which covers float summation) is
+never extended.  :func:`run_frontier_merge` argues why this keeps the
+answer exact, ties included.  The kernel implements exactly the seed's
+tie-breaking (first writer wins on equal utility at equal cost; earlier
+candidates win global ties), so plannings are bit-identical to
 :func:`dp_single_reference`, the retained seed implementation the
-golden-equivalence tests compare against.
+golden-equivalence and property tests compare against.
 """
 
 from __future__ import annotations
@@ -60,8 +74,6 @@ import bisect
 import math
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence
-
-import numpy as np
 
 from ..core import instrument
 from ..core.instance import USEPInstance
@@ -120,22 +132,18 @@ def dp_single(
     n = len(kept)
     prof = instrument.active()
 
-    # Per-candidate predecessor bound, from the precomputed global
+    # Per-candidate predecessor bound, from the instance's global
     # tables: global slots < l_index[pos] are exactly the events ending
     # no later than start_i, so counting kept slots below that threshold
-    # equals the seed's bisect over the kept end times.  The min(·, i)
-    # cap reproduces the seed's ``hi=i`` bound verbatim.
-    kept_np = np.fromiter(kept, dtype=np.intp, count=n)
-    kept_pos = arrays.pos[kept_np]
-    l_list = np.minimum(
-        np.searchsorted(kept_pos, arrays.l_index[kept_pos], side="left"),
-        np.arange(n),
-    ).tolist()
-    # Leg submatrix restricted to the kept candidates, as row lists:
-    # legs_rows[i][l] is the travel cost from candidate l to candidate i
-    # — note the transpose: the first vv axis is the *source* event
-    # (float64 -> Python float round-trips exactly, inf included).
-    legs_rows = arrays.vv[kept_np[None, :], kept_np[:, None]].tolist()
+    # equals the seed's bisect over the kept end times.  The ``hi=i``
+    # cap reproduces the seed's bound verbatim.
+    pos_list = arrays.pos_list
+    l_index = instance.l_index
+    kept_pos = [pos_list[ev_id] for ev_id in kept]
+    bisect_left = bisect.bisect_left
+    l_list = [
+        bisect_left(kept_pos, l_index[slot], 0, i) for i, slot in enumerate(kept_pos)
+    ]
 
     inf = math.inf
     nextafter = math.nextafter
@@ -163,9 +171,9 @@ def dp_single(
             thresh = inf
         threshs.append(thresh)
 
-    stats = [0, 0] if prof is not None else None
+    stats = [0, 0, 0] if prof is not None else None
     schedule = run_frontier_merge(
-        instance, kept, l_list, legs_rows, bases, nutils, threshs, stats
+        instance, kept, l_list, arrays.vv_cols, bases, nutils, threshs, stats
     )
 
     if prof is not None:
@@ -173,14 +181,22 @@ def dp_single(
         prof.add("dp_candidates", n)
         prof.add("dp_states_expanded", stats[0])
         prof.add("dp_states_kept", stats[1])
+        prof.add("dp_states_pruned_bound", stats[2])
     return schedule
+
+
+#: Relative slack of the utility-bound prune: a state is skipped only
+#: when its bound falls short of the best schedule by more than this
+#: share of the best's utility (float summation error is ~1e-14 at the
+#: candidate counts a user has).
+BOUND_MARGIN = 1e-9
 
 
 def run_frontier_merge(
     instance: USEPInstance,
     kept: Sequence[int],
     l_list: Sequence[int],
-    legs_rows: Sequence[Sequence[float]],
+    vv_cols: Sequence[Sequence[float]],
     bases: Sequence[float],
     nutils: Sequence[float],
     threshs: Sequence[float],
@@ -192,18 +208,68 @@ def run_frontier_merge(
     ``bases[i]`` is the home->v_i cost, ``nutils[i]`` the negated
     decomposed utility, ``threshs[i]`` the largest cost passing the
     budget cut (see :func:`dp_single` for how it is pinned with
-    nextafter).  :func:`dp_single` is its one caller and resolves the
-    scalars per call.  The merge stays scalar on purpose (see the
-    module docs: a vectorised variant measured 2-5x slower at
-    realistic frontier sizes).
+    nextafter).  ``vv_cols[dst][src]`` is the instance's event-to-event
+    leg from ``src`` to ``dst`` (:attr:`InstanceArrays.vv_cols`), read
+    by event id.  The merge stays scalar on purpose (see the module
+    docs: a vectorised variant measured 2-5x slower at realistic
+    frontier sizes).
 
-    ``stats`` (optional two-element list) accumulates
-    ``[states_expanded, states_kept]`` for the profile counters.
+    **Utility-bound pruning.**  ``UB_i``, the summed utility of the
+    candidates ``j`` with ``l_j > i``, bounds what any schedule through
+    candidate ``i`` can still add after it: every event ``j`` after
+    ``i`` on a chain starts no earlier than ``i`` ends (each leg needs
+    ``t2 <= t1``, and no event ends before it starts), so ``i`` sits
+    below ``j``'s predecessor bound, ``i < l_j``.  A transition from a
+    predecessor state of utility ``omega`` (the base state counts as
+    ``omega = 0``) is skipped when ``omega + u_i + UB_i`` is below the
+    best complete schedule found in the earlier fronts by more than
+    :data:`BOUND_MARGIN` of its utility.  This keeps the answer exact,
+    tie-breaking included:
+
+    * a skipped state can neither reach nor tie the best: every
+      completion of it is worth at most its bound, the best only grows,
+      and the best is itself a float-summed chain, so the margin (far
+      above the ~1e-14 relative error of summing a few hundred
+      non-negative utilities in either order) keeps a state on the
+      final best's chain, or on any chain tying it, from being skipped;
+    * a skipped state could only have dominated states with no more
+      utility and no less cost at the same candidate, whose completions
+      are then no better than its own, so those states are useless too;
+      keeping them in the front changes no later winner, and removing
+      states from a sorted buffer never lets a state on the best's
+      chain lose its place (the Pareto pass only compares it with the
+      states sorted before it);
+    * so the final best state, its chain and every state tying it are
+      the ones the unpruned merge keeps, and the selection below picks
+      the same one.
+
+    A whole front may be skipped, base state included; such a
+    candidate then joins no chain.  Within a predecessor's front
+    utilities increase with cost, so the skipped states are a cheap
+    prefix of it.
+
+    ``stats`` (optional three-element list) accumulates
+    ``[states_expanded, states_kept, states_pruned_bound]`` for the
+    profile counters: transitions appended to the merge buffer, states
+    kept on the fronts, and transitions the bound skipped.
 
     Returns the best schedule's event ids in attendance order.
     """
     n = len(kept)
     inf = math.inf
+    # ub[i]: UB_i, accumulated per predecessor bound and summed from the
+    # back (candidate j counts toward every i < l_j).
+    ub = [0.0] * n
+    for j in range(n):
+        l_j = l_list[j]
+        if l_j:
+            ub[l_j - 1] -= nutils[j]
+    total = 0.0
+    for i in range(n - 1, -1, -1):
+        total += ub[i]
+        ub[i] = total
+    keep_share = 1.0 - BOUND_MARGIN
+
     # fronts[i]: Pareto frontier of candidate i as a cost-ascending list
     # of state tuples ``(T, -omega, pred_index, prev_state)``; utilities
     # strictly increase (negated values strictly decrease) with cost,
@@ -218,18 +284,27 @@ def run_frontier_merge(
     best_i = -1
     best_nw = inf
     best_cost = inf
+    expanded = kept_states = pruned = 0
 
     for i in range(n):
         nutil = nutils[i]
         thresh = threshs[i]
+        # The bound on negated utilities: a state whose ``-omega``
+        # exceeds ``cut`` has ``omega + u_i + UB_i`` below the margin
+        # (``cut`` is inf while nothing is best yet).
+        cut = best_nw * keep_share - nutil + ub[i]
         # Base case: v_i is the first (and so far only) event.  Lemma 1
-        # pruning already guaranteed t0 + back_i <= budget, so every
-        # candidate's frontier is non-empty.
+        # pruning already guaranteed t0 + back_i <= budget.
         base = (bases[i], nutil, -1, None)
         l_i = l_list[i]
 
         if l_i == 0:
-            front = [base]
+            if cut >= 0.0:
+                front = [base]
+                expanded += 1
+            else:
+                front = []
+                pruned += 1
         else:
             # Scalar merge: append every feasible transition, then let
             # one ascending sort line up duplicate-cost groups in the
@@ -239,21 +314,35 @@ def run_frontier_merge(
             # are strictly increasing, so ties never reach the
             # unorderable prev_state element).
             buf.clear()
-            buf_append(base)
-            row_i = legs_rows[i]
+            if cut >= 0.0:
+                buf_append(base)
+            else:
+                pruned += 1
+            row_i = vv_cols[kept[i]]
             for l in range(l_i):
-                leg = row_i[l]
+                leg = row_i[kept[l]]
                 if leg == inf:
                     continue
-                for st in fronts[l]:
+                front_l = fronts[l]
+                if not front_l or front_l[-1][1] > cut:
+                    # Empty, or even the front's best utility misses
+                    # the bound.
+                    pruned += len(front_l)
+                    continue
+                for st in front_l:
+                    nw = st[1]
+                    if nw > cut:
+                        pruned += 1
+                        continue
                     t_new = st[0] + leg
                     if t_new > thresh:
                         # Frontier costs increase strictly; later
                         # states only get more expensive.
                         break
-                    buf_append((t_new, st[1] + nutil, l, st))
-            if len(buf) == 1:
-                front = [base]
+                    buf_append((t_new, nw + nutil, l, st))
+            expanded += len(buf)
+            if len(buf) < 2:
+                front = buf[:]
             else:
                 buf.sort()
                 # Strict Pareto pass: keep states whose utility beats
@@ -271,9 +360,9 @@ def run_frontier_merge(
                         last = nw
 
         fronts[i] = front
-        if stats is not None:
-            stats[0] += len(buf) if l_i else 1
-            stats[1] += len(front)
+        if not front:
+            continue
+        kept_states += len(front)
 
         # Global best: max utility (min negated utility), then min cost,
         # then earliest state in generation order.  Within a frontier
@@ -291,6 +380,11 @@ def run_frontier_merge(
             best_cost = top[0]
             best = top
             best_i = i
+
+    if stats is not None:
+        stats[0] += expanded
+        stats[1] += kept_states
+        stats[2] += pruned
 
     if best is None or best_nw >= 0.0:
         return []

@@ -670,7 +670,7 @@ def build_parser() -> argparse.ArgumentParser:
             metavar="SPEC",
             help="degradation ladder, e.g. 'dedpo+rg->degreedy->ratio-greedy' "
             "(also enables the fault-tolerant layer; default ladder: "
-            "DeDPO+RG -> DeGreedy -> RatioGreedy)",
+            "DeDPO+RG -> DeGreedy)",
         )
         p.add_argument(
             "--max-retries",

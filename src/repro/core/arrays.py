@@ -8,14 +8,14 @@ method call per pair.  :class:`InstanceArrays` precomputes all of it
 *once per instance*:
 
 * the ``|V| x |V|`` event-to-event cost matrix (``inf`` = conflict),
-  both as a numpy array and as the row lists the scalar kernels index;
+  as per-destination column lists the scalar DP kernel indexes;
 * the ``|U| x |V|`` to-event / from-event cost matrices and their sum
   (the Lemma 1 round-trip pruning quantity) — built only when the
   instance caches user costs, so ``cache_user_costs=False`` keeps its
   bounded-memory contract;
-* per-event start/end time arrays, the global end-time candidate order
-  (ties by start then id) and its inverse permutation, and the global
-  ``l_i`` predecessor index table of Equation (4).
+* the global end-time candidate order (ties by start then id) and its
+  inverse permutation (the predecessor table ``l_i`` of Equation (4)
+  is the instance's own ``l_index`` list).
 
 Solvers obtain the layer through :meth:`USEPInstance.arrays`, which
 caches it on the instance; :func:`~repro.algorithms.base.warm_instance`
@@ -46,17 +46,13 @@ class InstanceArrays:
 
     Attributes:
         mu: ``(|V|, |U|)`` utility matrix (read-only view).
-        vv: ``(|V|, |V|)`` event-to-event cost matrix; ``inf`` entries
-            are conflicting ordered pairs.
-        vv_rows: The same costs as a list of row lists — scalar indexing
-            on plain lists is what the tight DP loop wants.
-        event_start: ``(|V|,)`` start times ``t1``.
-        event_end: ``(|V|,)`` end times ``t2``.
+        vv_cols: Event-to-event costs as column lists:
+            ``vv_cols[dst][src]`` is ``cost(v_src, v_dst)`` as a float,
+            ``inf`` for conflicting ordered pairs — the Step-1 DP reads
+            one destination's column per candidate.
         order: ``(|V|,)`` event ids sorted by ``(t2, t1, id)``.
-        pos: ``(|V|,)`` inverse of ``order`` (event id -> sorted slot).
-        pos_list: ``pos`` as a plain list (fast sort key).
-        l_index: ``(|V|,)`` Equation (4) predecessor counts over the
-            *global* sorted order.
+        pos_list: Inverse of ``order`` as a plain list (event id ->
+            sorted slot; fast sort key).
         to_events: ``(|U|, |V|)`` ``cost(u, v)`` matrix, or None when
             the instance does not cache user costs.
         from_events: ``(|U|, |V|)`` ``cost(v, u)`` matrix, or None.
@@ -66,14 +62,9 @@ class InstanceArrays:
     __slots__ = (
         "instance",
         "mu",
-        "vv",
-        "vv_rows",
-        "event_start",
-        "event_end",
+        "vv_cols",
         "order",
-        "pos",
         "pos_list",
-        "l_index",
         "to_events",
         "from_events",
         "round_trip",
@@ -89,27 +80,16 @@ class InstanceArrays:
         #: the user-cost caching knob).
         self.budgets = np.array([u.budget for u in instance.users], dtype=float)
 
-        # Event-to-event legs: reuse the instance's lazily built row
-        # lists (they are the cache the scalar accessors read, so the
-        # numpy matrix is bit-identical by construction).
-        self.vv_rows: List[List[float]] = instance._vv_matrix()
-        self.vv = np.asarray(self.vv_rows, dtype=float) if self.vv_rows else np.zeros(
-            (0, 0)
-        )
-
-        events = instance.events
-        self.event_start = np.array([ev.start for ev in events], dtype=float)
-        self.event_end = np.array([ev.end for ev in events], dtype=float)
+        self.vv_cols = vv_columns(instance)
         self.order = np.asarray(instance.sorted_event_ids, dtype=np.intp)
-        self.pos = np.asarray(instance.sorted_position, dtype=np.intp)
         self.pos_list: List[int] = list(instance.sorted_position)
-        self.l_index = np.asarray(instance.l_index, dtype=np.intp)
 
         self.to_events: Optional[np.ndarray] = None
         self.from_events: Optional[np.ndarray] = None
         self.round_trip: Optional[np.ndarray] = None
         if instance._cache_user_costs:
             model = instance.cost_model
+            events = instance.events
             to_m = model.user_event_matrix(events, instance.users)
             from_m = model.event_user_matrix(events, instance.users)
             # Rows already cached keep their list objects.  Each row is
@@ -155,6 +135,19 @@ class InstanceArrays:
             instance.costs_to_events(user_id),
             instance.costs_from_events(user_id),
         )
+
+
+def vv_columns(instance: "USEPInstance") -> List[List[float]]:
+    """The instance's event-to-event legs transposed to column lists.
+
+    Read from the instance's lazily built row lists (the cache its
+    scalar ``cost_vv`` reads) through one float64 array, so every entry
+    is the Python float of the scalar leg, ``inf`` included.
+    """
+    rows = instance._vv_matrix()  # noqa: SLF001 - the instance's leg cache
+    if not rows:
+        return []
+    return np.asarray(rows, dtype=float).T.tolist()
 
 
 def get_arrays(instance: "USEPInstance") -> InstanceArrays:

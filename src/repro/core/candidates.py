@@ -66,9 +66,9 @@ class CandidateIndex:
     Attributes:
         per_user: ``per_user[u]`` — event ids with ``mu(v, u) > 0`` and
             ``cost(u,v) + cost(v,u) <= b_u``, sorted by the instance's
-            global ``(end, start, id)`` order (``arrays.pos``).
-        per_user_np: The same lists as intp arrays (fast gathers for
-            the Step-1 scan in :mod:`repro.algorithms.decomposed`).
+            global ``(end, start, id)`` order (``arrays.pos_list``); the
+            Step-1 scan in :mod:`repro.algorithms.decomposed` walks these
+            lists directly.
         positive_pairs: Count of ``mu(v, u) > 0`` pairs.
         pruned_pairs: Positive-utility pairs dropped by Lemma 1 — work
             the per-call filters no longer touch.
@@ -77,7 +77,6 @@ class CandidateIndex:
 
     __slots__ = (
         "per_user",
-        "per_user_np",
         "positive_pairs",
         "pruned_pairs",
         "survivor_pairs",
@@ -90,9 +89,6 @@ class CandidateIndex:
         num_events = instance.num_events
         if not num_users or not num_events or arrays.round_trip is None:
             self.per_user: List[List[int]] = [[] for _ in range(num_users)]
-            self.per_user_np: List[np.ndarray] = [
-                np.empty(0, dtype=np.intp) for _ in range(num_users)
-            ]
             self.positive_pairs = 0
             self.pruned_pairs = 0
             self.survivor_pairs = 0
@@ -109,9 +105,9 @@ class CandidateIndex:
         mask = positive & feasible
         users_nz, slots = np.nonzero(mask)
         bounds = np.searchsorted(users_nz, np.arange(1, num_users))
-        survivors_by_user = np.split(order[slots], bounds)
-        self.per_user = [chunk.tolist() for chunk in survivors_by_user]
-        self.per_user_np = list(survivors_by_user)
+        self.per_user = [
+            chunk.tolist() for chunk in np.split(order[slots], bounds)
+        ]
         self._pos_counts = positive.sum(axis=1).tolist()
         self.positive_pairs = int(positive.sum())
         self.survivor_pairs = int(len(slots))
@@ -141,7 +137,6 @@ class CandidateIndex:
         self.survivor_pairs += len(survivors) - len(self.per_user[user_id])
         self._pos_counts[user_id] = pos_count
         self.per_user[user_id] = survivors.tolist()
-        self.per_user_np[user_id] = survivors
         self.pruned_pairs = self.positive_pairs - self.survivor_pairs
 
     def append_user(self, arrays) -> None:
@@ -149,7 +144,6 @@ class CandidateIndex:
         user_id = len(self.per_user)
         survivors, pos_count = self._build_row(arrays, user_id)
         self.per_user.append(survivors.tolist())
-        self.per_user_np.append(survivors)
         self._pos_counts.append(pos_count)
         self.positive_pairs += pos_count
         self.survivor_pairs += len(survivors)
@@ -161,7 +155,6 @@ class CandidateIndex:
         self.survivor_pairs -= len(self.per_user[user_id])
         self.pruned_pairs = self.positive_pairs - self.survivor_pairs
         del self.per_user[user_id]
-        del self.per_user_np[user_id]
         del self._pos_counts[user_id]
 
 

@@ -88,6 +88,7 @@ from typing import (
 import numpy as np
 
 from . import build_cache
+from .arrays import vv_columns
 from .candidates import CandidateIndex
 from .entities import Event, User
 from .exceptions import InvalidInstanceError
@@ -337,25 +338,16 @@ def _noop(instance: USEPInstance, kind: str) -> DeltaReport:
 
 
 def _rebuild_event_arrays(instance: USEPInstance, arrays) -> None:
-    """Refresh the event-derived arrays after an event-set change.
+    """Refresh the event-derived arrays and lists after an event-set change.
 
     The same constructions :class:`InstanceArrays.__init__` runs, fed
     from the (already updated) instance content and caches — so every
-    refreshed array is bit-identical to a from-scratch build.
+    refreshed field is bit-identical to a from-scratch build.
     """
-    events = instance.events
     arrays.mu = instance.utility_matrix()
-    arrays.vv = (
-        np.asarray(arrays.vv_rows, dtype=float)
-        if arrays.vv_rows
-        else np.zeros((0, 0))
-    )
-    arrays.event_start = np.array([ev.start for ev in events], dtype=float)
-    arrays.event_end = np.array([ev.end for ev in events], dtype=float)
+    arrays.vv_cols = vv_columns(instance)
     arrays.order = np.asarray(instance.sorted_event_ids, dtype=np.intp)
-    arrays.pos = np.asarray(instance.sorted_position, dtype=np.intp)
     arrays.pos_list = list(instance.sorted_position)
-    arrays.l_index = np.asarray(instance.l_index, dtype=np.intp)
 
 
 def _rebuild_index(instance: USEPInstance, engine) -> bool:
@@ -579,8 +571,9 @@ def _apply_add_event(instance: USEPInstance, mutation: AddEvent) -> DeltaReport:
     instance._mu = np.vstack([instance._mu, row[None, :]])  # noqa: SLF001
     model = instance.cost_model
     if instance._vv_cost is not None:  # noqa: SLF001
-        # In place on the shared row lists (arrays.vv_rows is the same
-        # object): append the new column to every row, then the new row.
+        # In place on the instance's row lists (the arrays' column lists
+        # are rebuilt from them below): append the new column to every
+        # row, then the new row.
         for a_id, row_list in enumerate(instance._vv_cost):  # noqa: SLF001
             row_list.append(model.event_to_event(instance.events[a_id], event))
         instance._vv_cost.append(  # noqa: SLF001

@@ -218,8 +218,10 @@ class AdmissionController:
         An empty queue (a free solve slot now, or the very next one)
         keeps full quality.  Otherwise the shift scales linearly with
         how full the queue is, topping out at the last ladder rung when
-        the queue is (nearly) full — the requests most likely to time
-        out are exactly the ones sent to the cheapest solver.
+        the queue is (nearly) full.  The ladder is ordered from dearest
+        to cheapest (DeDPO+RG, then DeGreedy by default), so the
+        requests most likely to time out are the ones sent to the
+        cheapest solver.
         """
         if self._inflight < self.config.max_inflight or self._queued == 0:
             return 0

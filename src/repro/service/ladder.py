@@ -1,11 +1,14 @@
 """The degradation ladder: which cheaper algorithm to fall back to.
 
 The paper itself motivates the rungs: the DeDP family keeps Theorem 3's
-half-approximation guarantee, DeGreedy trades that guarantee for
-orders-of-magnitude speed (Section 4.4), and RatioGreedy is the cheap
-baseline that almost never fails.  Under a deadline the service layer
-walks this ladder instead of failing the cell, and tags the row with
-the rung (and therefore the guarantee) that actually produced the plan.
+half-approximation guarantee and DeGreedy trades that guarantee for
+orders-of-magnitude speed (Section 4.4).  Under a deadline the service
+layer walks this ladder instead of failing the cell, and tags the row
+with the rung (and therefore the guarantee) that actually produced the
+plan.  RatioGreedy is not a default rung: it is the slowest of the
+three solvers at every timed size (about 15x DeDPO+RG at |V|=40
+|U|=600), so a queue-pressure shift onto it would send a burst to the
+slowest solver.  It stays available as an explicit ``--ladder`` rung.
 
 Ladder specs are user-facing strings — ``"exact->dedpo+rg->degreedy"``
 or comma-separated — matched case-insensitively against the registry
@@ -21,8 +24,9 @@ from ..algorithms.registry import available_solvers
 
 #: Default fallback chain (after whatever algorithm the cell asked
 #: for): keep the 1/2-approximation as long as possible, then take the
-#: paper's speed ladder down.
-DEFAULT_LADDER: List[str] = ["DeDPO+RG", "DeGreedy", "RatioGreedy"]
+#: paper's speed ladder down.  Each rung is cheaper than the one
+#: before, which queue-pressure degradation relies on.
+DEFAULT_LADDER: List[str] = ["DeDPO+RG", "DeGreedy"]
 
 #: What each rung guarantees about the returned plan, relative to the
 #: optimal Omega (documented in docs/robustness.md).
@@ -81,3 +85,9 @@ def ladder_for(primary: str, ladder: Sequence[str]) -> List[str]:
         if name not in rungs:
             rungs.append(name)
     return rungs
+
+
+def start_rung(rungs: Sequence[str], shift: int) -> int:
+    """Index of the first rung a request tries after a queue-pressure
+    ``shift``: capped so the last rung is always left to try."""
+    return min(shift, len(rungs) - 1)

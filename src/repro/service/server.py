@@ -84,7 +84,7 @@ from ..verify.oracle import verify_schedules
 from .admission import AdmissionConfig, AdmissionController, Shed, Ticket
 from .executor import fork_supported, run_supervised
 from .journal import InstanceJournal, recover_all
-from .ladder import guarantee_of, ladder_for
+from .ladder import guarantee_of, ladder_for, start_rung
 
 #: Hard floor on the deadline handed to a solver attempt: once the
 #: remaining budget is below this, the request is answered from what
@@ -1126,8 +1126,8 @@ class _Handler(JsonRequestHandler):
         """
         config = self.server.config
         rungs = ladder_for(algorithm, config.admission.ladder)
-        start_rung = min(ticket.rung_shift, len(rungs) - 1)
-        rungs = rungs[start_rung:]
+        first_rung = start_rung(rungs, ticket.rung_shift)
+        rungs = rungs[first_rung:]
 
         cache_hit = False
         try:
@@ -1170,7 +1170,7 @@ class _Handler(JsonRequestHandler):
                         {"rung": rung, "reason": "oracle-rejected"}
                     )
                     continue
-            rung_index = start_rung + offset
+            rung_index = first_rung + offset
             degraded = rung_index > 0
             body: Dict[str, object] = {
                 "status": "degraded" if degraded else "ok",

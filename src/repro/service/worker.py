@@ -138,7 +138,7 @@ SERVER_OPTIONS = (
     ("--ladder", dict(
         default=None, metavar="SPEC",
         help="degradation ladder used under queue pressure and rung "
-        "failure (default: DeDPO+RG -> DeGreedy -> RatioGreedy)")),
+        "failure (default: DeDPO+RG -> DeGreedy)")),
     ("--algorithm", dict(
         default="DeDPO+RG", help="solver used when a request names none")),
     ("--memory-limit-mb", dict(

@@ -14,6 +14,8 @@ from repro.service.admission import (
     Ticket,
     TokenBucket,
 )
+from repro.service.ladder import DEFAULT_LADDER, ladder_for, start_rung
+from repro.service.server import ServerConfig
 
 
 class FakeClock:
@@ -107,6 +109,21 @@ class TestAdmission:
         assert shifts[0] == 0  # empty queue keeps full quality
         assert shifts[-1] >= 1  # deep queue degrades
         assert shifts == sorted(shifts)  # pressure only pushes down
+
+    def test_full_queue_starts_default_ladder_on_degreedy(self):
+        """Queue pressure never sends a request past the cheapest rung."""
+        config = AdmissionConfig(max_inflight=1, queue_depth=4)
+        assert config.ladder == tuple(DEFAULT_LADDER)
+        ctrl = AdmissionController(config)
+        first = ctrl.admit()
+        assert ctrl.acquire_slot(first, time.monotonic() + 5) is None
+        tickets = [ctrl.admit() for _ in range(config.queue_depth)]
+        assert all(isinstance(t, Ticket) for t in tickets)
+        # The last ticket was admitted with the queue full.
+        full = tickets[-1]
+        assert full.rung_shift == len(config.ladder)
+        rungs = ladder_for(ServerConfig().default_algorithm, config.ladder)
+        assert rungs[start_rung(rungs, full.rung_shift)] == "DeGreedy"
 
     def test_rate_limit_sheds_429(self):
         ctrl = self._controller(rate_burst=1, rate_per_s=0.5)

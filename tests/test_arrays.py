@@ -27,8 +27,9 @@ class TestMatrices:
         arrays = inst.arrays()
         for i in range(inst.num_events):
             for j in range(inst.num_events):
-                assert arrays.vv[i, j] == inst.cost_vv(i, j)
-                assert arrays.vv_rows[i][j] == inst.cost_vv(i, j)
+                # Column lists: vv_cols[dst][src] is the leg src -> dst.
+                assert arrays.vv_cols[j][i] == inst.cost_vv(i, j)
+                assert type(arrays.vv_cols[j][i]) is float
 
     def test_mu_matches_utility(self, inst):
         arrays = inst.arrays()
@@ -51,7 +52,7 @@ class TestMatrices:
             for j in range(inst.num_events):
                 ei, ej = inst.events[i], inst.events[j]
                 if i != j and ej.start < ei.end:
-                    assert math.isinf(arrays.vv[i, j])
+                    assert math.isinf(arrays.vv_cols[j][i])
 
 
 class TestOrdering:
@@ -59,7 +60,6 @@ class TestOrdering:
         arrays = inst.arrays()
         assert sorted(arrays.order.tolist()) == list(range(inst.num_events))
         for slot, event_id in enumerate(arrays.order.tolist()):
-            assert arrays.pos[event_id] == slot
             assert arrays.pos_list[event_id] == slot
 
     def test_order_sorted_by_end_time(self, inst):
@@ -78,7 +78,7 @@ class TestOrdering:
             )
             # Equation (4)'s l_i is a prefix length: all events in
             # order[:l_i] end at or before the start of event i.
-            l_i = arrays.l_index[arrays.pos[event_id]]
+            l_i = inst.l_index[arrays.pos_list[event_id]]
             assert l_i <= slot
             assert all(
                 inst.events[order[k]].end <= start for k in range(l_i)

@@ -8,6 +8,8 @@ answers for bit-identical candidate views.  See docs/performance.md.
 """
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.algorithms import make_solver
 from repro.core.candidates import ScheduleMemo, get_engine, view_key
@@ -98,6 +100,36 @@ class TestCacheUserCostsOff:
         with_index = make_solver(name).solve(instance)
         without_index = make_solver(name).solve(off)
         assert with_index.as_dict() == without_index.as_dict()
+
+    @settings(max_examples=40, deadline=None)
+    @given(
+        seed=st.integers(0, 100_000),
+        num_events=st.integers(1, 14),
+        num_users=st.integers(1, 40),
+        mean_capacity=st.integers(1, 5),
+        conflict_ratio=st.sampled_from([0.0, 0.25, 0.5, 1.0]),
+        budget_factor=st.sampled_from([0.25, 0.5, 1.0, 3.0]),
+        distribution=st.sampled_from(["uniform", "normal", "power:0.5"]),
+    )
+    def test_fallback_plannings_identical_on_drawn_instances(
+        self, seed, num_events, num_users, mean_capacity, conflict_ratio,
+        budget_factor, distribution,
+    ):
+        """The indexed list scan against the index-less ``pick`` scan."""
+        instance = generate_instance(SyntheticConfig(
+            seed=seed,
+            num_events=num_events,
+            num_users=num_users,
+            mean_capacity=mean_capacity,
+            conflict_ratio=conflict_ratio,
+            budget_factor=budget_factor,
+            utility_distribution=distribution,
+        ))
+        off = self._cache_off_twin(instance)
+        for name in ("DeDP", "DeDPO", "DeGreedy"):
+            with_index = make_solver(name).solve(instance)
+            without_index = make_solver(name).solve(off)
+            assert with_index.as_dict() == without_index.as_dict(), name
 
 
 class TestScheduleMemo:

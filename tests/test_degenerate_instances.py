@@ -58,25 +58,25 @@ def empty():
 class TestInstanceArraysDegenerate:
     def test_zero_events_shapes(self, no_events):
         arrays = no_events.arrays()
-        assert arrays.vv.shape == (0, 0)
+        assert arrays.vv_cols == []
         assert arrays.mu.shape == (0, 3)
         assert arrays.to_events.shape == (3, 0)
         assert arrays.from_events.shape == (3, 0)
         assert arrays.round_trip.shape == (3, 0)
         assert len(arrays.order) == 0
-        assert len(arrays.l_index) == 0
+        assert no_events.l_index == []
         assert arrays.pos_list == []
 
     def test_zero_users_shapes(self, no_users):
         arrays = no_users.arrays()
-        assert arrays.vv.shape == (3, 3)
+        assert [len(col) for col in arrays.vv_cols] == [3, 3, 3]
         assert arrays.mu.shape == (3, 0)
         assert arrays.to_events.shape == (0, 3)
         assert list(arrays.order) == [0, 1, 2]
 
     def test_fully_empty_shapes(self, empty):
         arrays = empty.arrays()
-        assert arrays.vv.shape == (0, 0)
+        assert arrays.vv_cols == []
         assert arrays.mu.shape == (0, 0)
         assert arrays.to_events.shape == (0, 0)
 

@@ -67,8 +67,10 @@ def assert_structurally_fresh(instance):
     """Every derived structure equals a from-scratch build, bit for bit."""
     cold = cold_twin(instance)
     live_a, cold_a = instance.arrays(), cold.arrays()
-    for attr in ("mu", "vv", "event_start", "event_end", "order", "pos",
-                 "l_index", "budgets", "to_events", "from_events",
+    for attr in ("vv_cols", "pos_list"):
+        assert getattr(live_a, attr) == getattr(cold_a, attr), attr
+    assert instance.l_index == cold.l_index
+    for attr in ("mu", "order", "budgets", "to_events", "from_events",
                  "round_trip"):
         live_v, cold_v = getattr(live_a, attr), getattr(cold_a, attr)
         if live_v is None or cold_v is None:

@@ -1,5 +1,6 @@
 """Unit and property tests for DPSingle (Algorithm 2)."""
 
+import importlib
 import itertools
 import math
 
@@ -7,9 +8,18 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.algorithms.dp_single import dp_single, dp_single_best_utility
-from repro.core import Schedule
-from tests.conftest import grid_instance
+from repro.algorithms.dp_single import (
+    dp_single,
+    dp_single_best_utility,
+    dp_single_reference,
+)
+from repro.core import Schedule, instrument
+from repro.core.costs import GridCostModel
+from repro.core.instance import USEPInstance
+from tests.conftest import grid_instance, make_events, make_users
+
+# The package re-exports the function under the module's name.
+dp_single_module = importlib.import_module("repro.algorithms.dp_single")
 
 
 def brute_force_best(instance, user_id, candidates, utilities, budget=None):
@@ -168,3 +178,106 @@ class TestOptimality:
         got = dp_single_best_utility(inst, 0, candidates, utilities)
         want = brute_force_best(inst, 0, candidates, utilities)
         assert got == pytest.approx(want)
+
+
+# ----------------------------------------------------------------------
+# The array kernel against the seed reference, schedule for schedule
+# ----------------------------------------------------------------------
+
+
+@st.composite
+def dp_cases(draw):
+    """One user, a handful of events, and a budget at the bound's edges.
+
+    Utilities come from a small set, so equal-utility schedules at
+    different costs tie; a finite ``speed`` makes some legs inf;
+    half-unit coordinates without rounding give non-integral costs.
+    """
+    num_events = draw(st.integers(1, 8))
+    coord = st.integers(0, 12).map(lambda v: v / 2)
+    specs = []
+    for _ in range(num_events):
+        start = draw(st.integers(0, 40))
+        length = draw(st.integers(1, 12))
+        specs.append(((draw(coord), draw(coord)), 1, start, start + length))
+    user_loc = draw(st.one_of(
+        st.sampled_from([loc for loc, _, _, _ in specs]), st.tuples(coord, coord)
+    ))
+    model = GridCostModel(
+        metric=draw(st.sampled_from(["manhattan", "euclidean"])),
+        speed=draw(st.sampled_from([None, 0.5, 1.0, 3.0])),
+        integral=draw(st.booleans()),
+    )
+    utilities = [
+        [draw(st.sampled_from([0.0, 0.25, 0.5, 0.75, 1.0, 0.1, 0.2, 0.3]))]
+        for _ in range(num_events)
+    ]
+    instance = USEPInstance(
+        make_events(specs), make_users([(user_loc, 0.0)]), model, utilities
+    )
+    trips = [
+        instance.cost_uv(0, v) + instance.cost_vu(v, 0) for v in range(num_events)
+    ]
+    budget = draw(st.one_of(
+        st.just(0.0),
+        st.sampled_from(trips),
+        st.just(math.inf),
+        st.floats(0.0, 80.0),
+    ))
+    return instance, budget
+
+
+class TestAgainstReference:
+    """``dp_single`` must return the seed DP's schedule, not just its value:
+    the Pareto merge, the budget thresholds and the utility-bound prune
+    all keep the reference's tie-breaking."""
+
+    @settings(max_examples=400, deadline=None)
+    @given(case=dp_cases())
+    def test_same_schedule_as_reference(self, case):
+        instance, budget = case
+        utilities = {
+            v: instance.utility(v, 0) for v in range(instance.num_events)
+        }
+        candidates = list(range(instance.num_events))
+        assert dp_single(instance, 0, candidates, utilities, budget) == (
+            dp_single_reference(instance, 0, candidates, utilities, budget)
+        )
+
+    def _tie_instance(self):
+        # v0 is far and early; v1 -> v2 -> v3 is a cheap later chain
+        # whose float-summed utility, (0.1 + 0.2) + 0.3, equals v0's.
+        # v0 overlaps v1 and cannot be combined with the chain in budget.
+        tie = (0.1 + 0.2) + 0.3
+        instance = grid_instance(
+            [((10, 0), 1, 0, 10), ((0, 1), 1, 5, 15),
+             ((0, 1), 1, 20, 30), ((0, 1), 1, 40, 50)],
+            [((0, 0), 20)],
+            [[tie], [0.1], [0.2], [0.3]],
+        )
+        return instance, {0: tie, 1: 0.1, 2: 0.2, 3: 0.3}
+
+    def test_later_cheaper_schedule_tying_the_best_wins(self):
+        instance, utilities = self._tie_instance()
+        want = dp_single_reference(instance, 0, [0, 1, 2, 3], utilities)
+        assert want == [1, 2, 3]
+        assert dp_single(instance, 0, [0, 1, 2, 3], utilities) == want
+
+    def test_bound_margin_keeps_the_tie(self, monkeypatch):
+        # The chain's bound sums 0.1 + (0.3 + 0.2) = 0.6, one ulp below
+        # v0's 0.6000000000000001: without the margin it is skipped.
+        instance, utilities = self._tie_instance()
+        monkeypatch.setattr(dp_single_module, "BOUND_MARGIN", 0.0)
+        assert dp_single(instance, 0, [0, 1, 2, 3], utilities) == [0]
+
+    def test_bound_prunes_on_a_cold_plan_sized_instance(self):
+        from repro.algorithms import make_solver
+        from repro.datagen import SyntheticConfig, generate_instance
+
+        inst = generate_instance(SyntheticConfig(
+            seed=1, num_events=40, num_users=400, mean_capacity=12
+        ))
+        with instrument.profiled() as counters:
+            make_solver("DeDPO").solve(inst)
+        assert counters["dp_states_pruned_bound"] > 0
+        assert counters["dp_states_expanded"] > 0
