@@ -23,6 +23,7 @@ from .algorithms.registry import available_solvers
 from .experiments.figures import SCALES, get_spec, list_specs
 from .experiments.harness import run_sweep
 from .experiments.reporting import format_panels, rows_to_csv
+from .service.checkpoint import JournalLockedError, JournalMismatchError
 from .service.worker import (
     add_server_options,
     install_drain_handlers,
@@ -73,22 +74,26 @@ def _run_one(key: str, args) -> int:
             )
             return 2
         return _run_replicated(spec, algorithms, args)
-    result = run_sweep(
-        axis=spec.axis,
-        points=spec.points(args.scale),
-        algorithms=algorithms,
-        measure_memory=not args.no_memory,
-        validate=args.validate,
-        verify=args.verify,
-        progress=not args.quiet,
-        jobs=args.jobs,
-        timeout=args.timeout,
-        ladder=args.ladder,
-        max_retries=args.max_retries,
-        journal=_journal_path(args, spec),
-        resume=args.resume,
-        profile=args.profile,
-    )
+    try:
+        result = run_sweep(
+            axis=spec.axis,
+            points=spec.points(args.scale),
+            algorithms=algorithms,
+            measure_memory=not args.no_memory,
+            validate=args.validate,
+            verify=args.verify,
+            progress=not args.quiet,
+            jobs=args.jobs,
+            timeout=args.timeout,
+            ladder=args.ladder,
+            max_retries=args.max_retries,
+            journal=_journal_path(args, spec),
+            resume=args.resume,
+            profile=args.profile,
+        )
+    except (JournalMismatchError, JournalLockedError) as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     print(format_panels(result))
     status = _report_verification(result.rows) if args.verify else 0
     status |= _report_service(result.rows)
@@ -201,11 +206,10 @@ def _report_profile(rows) -> None:
 
     Sums every :func:`repro.core.instrument.is_profile_key` field over
     the sweep's rows (see ``docs/performance.md`` for how to read
-    them), plus this process's cross-cell build-cache stats.  Parallel
-    sweeps count only what the workers reported back in rows — each
-    worker's build cache is process-local.
+    them).  Parallel sweeps count what the workers reported back in
+    rows.
     """
-    from .core import build_cache, instrument
+    from .core import instrument
 
     per_solver: dict = {}
     for row in rows:
@@ -220,12 +224,6 @@ def _report_profile(rows) -> None:
             continue
         body = "  ".join(f"{k}={counters[k]}" for k in sorted(counters))
         print(f"  {solver}: {body}")
-    cache = build_cache.stats()
-    print(
-        f"  build cache (this process): hits={cache['hits']} "
-        f"misses={cache['misses']} evictions={cache['evictions']} "
-        f"entries={cache['entries']}"
-    )
 
 
 def _cmd_run(args) -> int:
@@ -511,9 +509,9 @@ def _cmd_serve(args) -> int:
 
     ``--workers 0`` (the default) serves single-process; ``--workers N``
     boots a front-end router plus N supervised worker processes
-    (affinity routing, crash failover, journal-replayed recovery).
-    Either way SIGTERM/SIGINT drains: readiness flips off, in-flight
-    solves finish, then the process exits 0.
+    (owner and least-loaded routing, crash failover, journal-replayed
+    recovery).  Either way SIGTERM/SIGINT drains: readiness flips off,
+    in-flight solves finish, then the process exits 0.
     """
     if args.workers > 0:
         return _serve_multiworker(args)
@@ -696,8 +694,8 @@ def build_parser() -> argparse.ArgumentParser:
             "--profile",
             action="store_true",
             help="collect the incremental engine's diagnostic counters "
-            "(DP states, candidates pruned, schedule-memo and build-cache "
-            "hits) into every row and print a per-solver summary "
+            "(DP states, candidates pruned, schedule-memo hits) into "
+            "every row and print a per-solver summary "
             "(see docs/performance.md)",
         )
 

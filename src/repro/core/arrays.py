@@ -115,8 +115,7 @@ class InstanceArrays:
 
         One :class:`~repro.core.candidates.IncrementalEngine` per
         instance — the Lemma 1 candidate index plus the dirty-set
-        schedule memo — shared by every solver run on the instance (and
-        by adopters of the cross-cell build cache).
+        schedule memo — shared by every solver run on the instance.
         """
         if self._engine is None:
             from .candidates import IncrementalEngine

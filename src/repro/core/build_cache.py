@@ -1,49 +1,36 @@
-"""Cross-cell instance build cache, keyed by content fingerprint.
+"""Instance content fingerprints and the up-front shared build.
 
-A sweep cell's expensive setup — the ``|V| x |V|`` event-cost matrix,
-the ``|U| x |V|`` user-cost matrices, the end-time ordering
+:func:`instance_fingerprint` hashes everything an instance's derived
+structures depend on — the ``|V| x |V|`` event-cost matrix, the
+``|U| x |V|`` user-cost matrices, the end-time ordering
 (:class:`~repro.core.arrays.InstanceArrays`) and the Lemma 1 candidate
-index (:class:`~repro.core.candidates.CandidateIndex`) — depends only
-on the instance's *content*.  Yet the parallel sweep harness rebuilds
-its point's instance in every worker cell (deterministic by seed), and
-the verification pass, degradation-ladder rungs and the several
-algorithms sharing one cell each re-derive the same structures when
-they land on different instance objects.
+index (:class:`~repro.core.candidates.CandidateIndex`): events
+(capacity/location/interval), users (location/budget), the full
+utility matrix, the cost model's defining parameters and the
+``cache_user_costs`` flag.  Two instances with equal fingerprints have
+equal content; tests, the fleet fuzz modes and the serving tools use it
+to check that a journal replay or compaction rebuilt exactly the live
+instance.  Cost models the module cannot fingerprint give ``None``
+(never wrongly equated).
 
-:func:`get_or_register` deduplicates those rebuilds inside one process:
-the first instance with a given fingerprint is registered (and kept
-alive, LRU-bounded); later content-identical instances are *swapped
-out* for the registered one, whose caches are already warm — including
-the schedule memo, so clean users skip rescheduling outright.  Safe
-because instances are immutable and every derived structure is a pure
-function of the fingerprinted content.
+:func:`prepare_build` materialises an instance's arrays and candidate
+index before a solve, so the supervised attempts of one request or
+sweep cell share one build.
 
-The fingerprint covers events (capacity/location/interval), users
-(location/budget), the full utility matrix, the cost model's defining
-parameters and the ``cache_user_costs`` flag.  Cost models the module
-cannot fingerprint make the instance uncacheable (never wrongly
-shared).  Hit/miss counts are process-local diagnostics surfaced via
-``--profile`` and the bench ledger, never in default sweep rows — a
-hit depends on which worker ran the cell first.
+A warm re-solve has one path: a registered instance solved by
+``instance_id``, which keeps its own index and schedule memo
+(``docs/dynamic.md``).  There is no cross-request cache of instances.
 """
 
 from __future__ import annotations
 
 import hashlib
-from collections import OrderedDict
-from typing import TYPE_CHECKING, Dict, Optional, Tuple
+from typing import TYPE_CHECKING, Optional
 
 from .costs import CostModel, GridCostModel, MatrixCostModel
 
 if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .instance import USEPInstance
-
-#: Registered instances kept alive at once; small on purpose — each
-#: entry pins a full instance plus its derived arrays.
-MAX_ENTRIES = 4
-
-_cache: "OrderedDict[str, USEPInstance]" = OrderedDict()
-_stats: Dict[str, int] = {"hits": 0, "misses": 0, "uncacheable": 0, "evictions": 0}
 
 
 def _model_token(model: CostModel) -> Optional[bytes]:
@@ -63,11 +50,11 @@ def _model_token(model: CostModel) -> Optional[bytes]:
 def instance_fingerprint(instance: "USEPInstance") -> Optional[str]:
     """Content hash of everything the derived structures depend on.
 
-    ``None`` when the cost model cannot be fingerprinted (the instance
-    is then never cached or adopted).  Memoised on the instance —
-    hashing a ``10k x 120`` utility matrix costs tens of milliseconds —
-    and invalidated by :mod:`repro.core.deltas` on every mutation, so
-    the fingerprint always reflects the instance's *current* content.
+    ``None`` when the cost model cannot be fingerprinted.  Memoised on
+    the instance — hashing a ``10k x 120`` utility matrix costs tens of
+    milliseconds — and invalidated by :mod:`repro.core.deltas` on every
+    mutation, so the fingerprint always reflects the instance's
+    *current* content.
     """
     cached = instance._fingerprint_cache  # noqa: SLF001 - same package
     if cached is not None:
@@ -90,65 +77,12 @@ def instance_fingerprint(instance: "USEPInstance") -> Optional[str]:
     return fingerprint
 
 
-def get_or_register(instance: "USEPInstance") -> Tuple["USEPInstance", bool]:
-    """Swap a rebuilt instance for its registered warm twin.
-
-    Returns ``(instance_to_use, cache_hit)``: on a hit the registered
-    content-identical instance (warm arrays, candidate index and
-    schedule memo) replaces the argument; on a miss the argument is
-    registered and returned unchanged.
-    """
-    fingerprint = instance_fingerprint(instance)
-    if fingerprint is None:
-        _stats["uncacheable"] += 1
-        return instance, False
-    donor = _cache.get(fingerprint)
-    if donor is not None:
-        _cache.move_to_end(fingerprint)
-        _stats["hits"] += 1
-        return donor, True
-    _stats["misses"] += 1
-    _cache[fingerprint] = instance
-    while len(_cache) > MAX_ENTRIES:
-        _cache.popitem(last=False)
-        _stats["evictions"] += 1
-    return instance, False
-
-
-def forget(instance: "USEPInstance") -> int:
-    """Unregister an instance *by identity* (not by fingerprint).
-
-    :mod:`repro.core.deltas` calls this before mutating a registered
-    instance: the registry maps the *pre-mutation* fingerprint to the
-    object, so leaving the entry in place would hand the mutated object
-    to a later caller presenting the old content — exactly the stale
-    adoption the fingerprint exists to prevent.  Identity scan on
-    purpose: the old fingerprint may already be uncomputable once the
-    caller has started editing content.  Returns entries removed.
-    """
-    stale = [key for key, value in _cache.items() if value is instance]
-    for key in stale:
-        del _cache[key]
-    return len(stale)
-
-
 def prepare_build(instance: "USEPInstance") -> None:
     """Materialise the shared build up front (arrays + candidate index).
 
-    Called by the resilient runner *before* forking supervised
-    attempts, so every rung's child inherits one finished build through
-    copy-on-write instead of each rebuilding it.
+    Called by the resilient runner and the planning server *before*
+    their supervised attempts, so every rung — and, when attempts fork,
+    every child through copy-on-write — uses one finished build instead
+    of each rebuilding it.
     """
     instance.arrays().engine().index  # noqa: B018 - builds as a side effect
-
-
-def stats() -> Dict[str, int]:
-    """Process-local cache counters (see module docstring)."""
-    return dict(_stats, entries=len(_cache))
-
-
-def clear() -> None:
-    """Drop all registered instances and zero the counters."""
-    _cache.clear()
-    for key in _stats:
-        _stats[key] = 0

@@ -33,9 +33,8 @@ cut the redundant work while keeping plannings **bit-identical**
 
 :class:`IncrementalEngine` bundles the two; solvers obtain it through
 :meth:`repro.core.arrays.InstanceArrays.engine`, so it is built lazily
-once per instance and shared by every solver that runs on it (and by
-every adopter of the cross-cell build cache, see
-:mod:`repro.core.build_cache`).  The seed twins never touch it.
+once per instance and shared by every solver that runs on it.  The
+seed twins never touch it.
 """
 
 from __future__ import annotations

@@ -21,10 +21,9 @@ place** while keeping every derived structure consistent:
   for user-level edits, vectorised rebuild for event-set changes) and
   :class:`~repro.core.candidates.ScheduleMemo` (exact eviction of the
   *dirty* users, id remapping for drops);
-* the staleness-sensitive caches: the instance's memoised content
-  fingerprint is reset, and the cross-cell build-cache registration is
-  dropped (:func:`repro.core.build_cache.forget`) so the pre-mutation
-  fingerprint can never adopt the mutated object.
+* the instance's memoised content fingerprint
+  (:func:`repro.core.build_cache.instance_fingerprint`), reset so it
+  always hashes the current content.
 
 **Dirty users.**  Every mutation reports the exact set of users whose
 next Step-1 scheduling can differ — the analytically-affected set, no
@@ -87,7 +86,6 @@ from typing import (
 
 import numpy as np
 
-from . import build_cache
 from .arrays import vv_columns
 from .candidates import CandidateIndex
 from .entities import Event, User
@@ -323,7 +321,6 @@ def _survivor_set(instance: USEPInstance, event_id: int) -> FrozenSet[int]:
 
 def _commit(instance: USEPInstance) -> None:
     """Post-mutation invalidation shared by every (non-noop) mutation."""
-    build_cache.forget(instance)
     instance._fingerprint_cache = None  # noqa: SLF001
     instance._version += 1  # noqa: SLF001
 

@@ -34,7 +34,6 @@ PROFILE_KEY_PREFIXES = (
     "sched_",
     "candidates_",
     "index_",
-    "build_cache_",
     "partition_",
 )
 

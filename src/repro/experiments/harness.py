@@ -249,16 +249,9 @@ def _run_parallel_cell(task: Tuple[int, int]) -> Dict[str, object]:
     state = _PARALLEL_STATE
     point: SweepPoint = state["points"][point_idx]
     name: str = state["algorithms"][algo_idx]
-    profile = bool(state.get("profile", False))
     build_start = time.perf_counter()
     try:
         instance = point.build()
-        # Cross-cell build cache: cells of the same point land in the
-        # same worker with the same fingerprint, so later algorithms
-        # adopt the first build's arrays and candidate index instead
-        # of re-deriving them (see docs/performance.md); _cell_row
-        # empties the memo they come with.
-        instance, cache_hit = build_cache.get_or_register(instance)
     except Exception:
         return _error_rows_for_point(
             state["axis"],
@@ -268,7 +261,7 @@ def _run_parallel_cell(task: Tuple[int, int]) -> Dict[str, object]:
             traceback.format_exc(),
         )[0]
     build_time = time.perf_counter() - build_start
-    row = _cell_row(
+    return _cell_row(
         state["axis"],
         point,
         point_idx,
@@ -279,14 +272,8 @@ def _run_parallel_cell(task: Tuple[int, int]) -> Dict[str, object]:
         state["validate"],
         state.get("verify", False),
         runner=state.get("runner"),
-        profile=profile,
+        profile=bool(state.get("profile", False)),
     )
-    if profile:
-        # Cache-warmth diagnostics are profile-only: they depend on
-        # worker scheduling, so default rows stay byte-identical
-        # between the parallel and sequential paths.
-        row["build_cache_hit"] = int(cache_hit)
-    return row
 
 
 def _resolve_service(
@@ -371,9 +358,9 @@ def run_sweep(
             the cells it is missing; replayed rows are marked
             ``resumed=True`` in the returned result.
         profile: Collect the incremental engine's diagnostic counters
-            (memo hits, candidates pruned, build-cache adoption — see
+            (memo hits, candidates pruned — see
             :mod:`repro.core.instrument`) into every fresh row.  Off by
-            default because the counters depend on cache warmth and
+            default because the counters depend on memo warmth and
             execution path, which would break the parallel/sequential
             row-identity and journal byte-identity guarantees.
     """

@@ -159,20 +159,11 @@ class SweepJournal:
     ) -> Tuple[Dict[str, object], Dict[CellKey, Dict[str, object]]]:
         header: Dict[str, object] = {}
         rows: Dict[CellKey, Dict[str, object]] = {}
-        with open(path) as handle:
-            for line in handle:
-                line = line.strip()
-                if not line:
-                    continue
-                try:
-                    entry = json.loads(line)
-                except json.JSONDecodeError:
-                    continue  # torn tail write from the killed run
-                if entry.get("kind") == "header":
-                    header = entry
-                elif entry.get("kind") == "cell":
-                    key = (int(entry["point"]), str(entry["solver"]))
-                    rows[key] = entry["row"]
+        for entry in _sweep_records(path):
+            if entry.get("kind") == "header":
+                header = entry
+            elif entry.get("kind") == "cell":
+                rows[(entry["point"], entry["solver"])] = entry["row"]
         return header, rows
 
     @staticmethod
@@ -250,21 +241,64 @@ def repair_tail(path: str) -> None:
         os.fsync(handle.fileno())
 
 
-def load_rows(path: str) -> List[Dict[str, object]]:
-    """All journalled cell rows, in journal (completion) order."""
-    rows: List[Dict[str, object]] = []
-    with open(path) as handle:
-        for line in handle:
+def read_records(path: str) -> List[Tuple[int, Dict[str, object]]]:
+    """``(line number, record)`` for every record of a JSONL journal.
+
+    The one reader of both journals.  Only a torn *final* line is
+    tolerated (skipped): the write a SIGKILL cut short.  A torn line
+    with a record after it, or a line that decodes to something other
+    than a JSON object, is corruption and raises
+    :class:`JournalMismatchError` naming the line.
+    """
+    records: List[Tuple[int, Dict[str, object]]] = []
+    torn_at: Optional[int] = None
+    with open(path, "rb") as handle:
+        for lineno, line in enumerate(handle, start=1):
             line = line.strip()
             if not line:
                 continue
+            if torn_at is not None:
+                raise JournalMismatchError(
+                    f"journal {path!r} is corrupt at line {torn_at} "
+                    "(torn record before end of file)"
+                )
             try:
                 entry = json.loads(line)
-            except json.JSONDecodeError:
+            except ValueError:  # JSONDecodeError, or a cut multi-byte char
+                torn_at = lineno  # tolerated iff it stays the last line
                 continue
-            if entry.get("kind") == "cell":
-                rows.append(entry["row"])
-    return rows
+            if not isinstance(entry, dict):
+                raise JournalMismatchError(
+                    f"journal {path!r} is corrupt at line {lineno} "
+                    "(record is not a JSON object)"
+                )
+            records.append((lineno, entry))
+    return records
+
+
+def _sweep_records(path: str) -> List[Dict[str, object]]:
+    """A sweep journal's records, every cell record checked for its keys."""
+    entries: List[Dict[str, object]] = []
+    for lineno, entry in read_records(path):
+        if entry.get("kind") == "cell" and not (
+            isinstance(entry.get("point"), int)
+            and isinstance(entry.get("solver"), str)
+            and isinstance(entry.get("row"), dict)
+        ):
+            raise JournalMismatchError(
+                f"journal {path!r} is corrupt at line {lineno} (a cell "
+                "record needs an integer point, a solver and a row object)"
+            )
+        entries.append(entry)
+    return entries
+
+
+def load_rows(path: str) -> List[Dict[str, object]]:
+    """All journalled cell rows, in journal (completion) order."""
+    return [
+        entry["row"] for entry in _sweep_records(path)
+        if entry.get("kind") == "cell"
+    ]
 
 
 def canonical_bytes(path: str, strip: Sequence[str] = TIMING_FIELDS) -> bytes:
@@ -273,24 +307,15 @@ def canonical_bytes(path: str, strip: Sequence[str] = TIMING_FIELDS) -> bytes:
     Two runs with identical inputs (and identical fault plans) must
     produce identical canonical bytes — the chaos determinism contract.
     Cell entries are kept in completion order; keys are sorted by the
-    serialiser.  A torn final line is skipped, as :func:`load_rows`
-    skips it.
+    serialiser.  Read by :func:`read_records`: a torn final line is
+    skipped, any other damage raises :class:`JournalMismatchError`.
     """
-    with open(path) as handle:
-        records = [line.strip() for line in handle if line.strip()]
     lines: List[bytes] = []
-    for index, record in enumerate(records):
-        try:
-            entry = json.loads(record)
-        except json.JSONDecodeError:
-            if index == len(records) - 1:
-                break  # the torn tail of a killed run
-            raise
+    for entry in _sweep_records(path):
         if entry.get("kind") == "cell":
-            entry = dict(entry)
-            entry["row"] = {
+            entry = dict(entry, row={
                 k: v for k, v in entry["row"].items() if k not in strip
-            }
+            })
         lines.append(json.dumps(entry, sort_keys=True).encode())
     return b"\n".join(lines) + b"\n"
 

@@ -65,7 +65,7 @@ from typing import Dict, List, Optional, Sequence, Tuple
 from ..core.deltas import apply_mutation
 from ..core.exceptions import InvalidInstanceError
 from ..io import instance_from_dict, mutation_from_dict
-from .checkpoint import JournalMismatchError, repair_tail
+from .checkpoint import JournalMismatchError, read_records, repair_tail
 
 INSTANCE_JOURNAL_VERSION = 1
 
@@ -331,39 +331,6 @@ class RecoveredInstance:
     path: str
 
 
-def _read_entries(path: str) -> List[Dict]:
-    """All decodable records, tolerating only a torn final line."""
-    entries: List[Dict] = []
-    torn_at: Optional[int] = None
-    with open(path) as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if torn_at is not None:
-                # A decodable line *after* a torn one: the tear was not
-                # the SIGKILL tail but mid-file corruption.
-                raise JournalMismatchError(
-                    f"instance journal {path!r} is corrupt at line "
-                    f"{torn_at} (torn record before end of file)"
-                )
-            try:
-                entry = json.loads(line)
-            except json.JSONDecodeError:
-                torn_at = lineno  # tolerated iff it stays the last line
-                continue
-            if not isinstance(entry, dict):
-                # Decodable but not a record (e.g. a bare array spliced
-                # mid-file): structured corruption, never an attribute
-                # crash further down the replay.
-                raise JournalMismatchError(
-                    f"instance journal {path!r} is corrupt at line "
-                    f"{lineno} (record is not a JSON object)"
-                )
-            entries.append(entry)
-    return entries
-
-
 def _decode_base(path: str, base: Dict) -> Tuple[str, object, Optional[int]]:
     """Validate the journal's first record (header or snapshot) and
     rebuild the instance it carries.  Returns
@@ -421,7 +388,7 @@ def replay_journal(path: str) -> RecoveredInstance:
     missing/corrupt header and :class:`InvalidInstanceError` when a
     journalled mutation no longer applies (divergent journal).
     """
-    entries = _read_entries(path)
+    entries = [entry for _, entry in read_records(path)]
     if not entries or entries[0].get("kind") not in ("header", "snapshot"):
         raise JournalMismatchError(
             f"instance journal {path!r} has no header line"

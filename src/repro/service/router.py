@@ -4,16 +4,16 @@
 supervised workers (:mod:`repro.service.supervisor`).  Clients talk
 only to the router; the router owns three decisions:
 
-**Where a request goes** — *affinity by content*.  Registrations and
-inline solves are routed by the instance's build-cache sha256
-fingerprint through rendezvous (highest-random-weight) hashing over
-the configured worker ids, so a content-identical instance always
-lands on the shard whose build cache, candidate index and schedule
-memo are already warm.  Requests naming an ``instance_id`` go to the
-worker that registered it (the router remembers the mapping).
-Unfingerprintable payloads fall back to the canonical-JSON hash, and
-payloads the router cannot decode at all go to the least-loaded
-healthy worker — the worker then produces the canonical 400.
+**Where a request goes** — *to its owner, else by load*.  Requests
+naming an ``instance_id`` (``/solve`` by id, ``/mutate``, ``/compact``)
+go to the worker that registered the instance: its journal, candidate
+index and schedule memo live there (the router remembers the mapping).
+Every other request — registrations, inline solves, malformed bodies
+and scatter cells — has no owner and goes to the healthy worker with
+the fewest requests outstanding, ties taken in turn, so an idle fleet
+alternates.  The router decodes no instance: ``/instances`` bodies are
+forwarded unparsed, and a malformed body reaches a worker, which
+produces the canonical 400.
 
 **What happens when the shard is down** — *one structured retry*.  A
 transport error against a worker (crashed mid-request, connection
@@ -29,7 +29,7 @@ exactly-once either way.  Solves are read-only and always retryable.
 **Whether to cut the work** — *scatter/gather on request*.  ``POST
 /solve?partition=grid&cells=N`` routes through
 :mod:`repro.service.scatter` instead of proxying: the instance is cut
-into grid cells, each cell sub-solved on its affinity worker via
+into grid cells, each cell sub-solved on a least-loaded worker via
 ``POST /subsolve``, and the merged plan oracle-gated before the 200.
 Any scatter failure falls back to the monolithic proxy path below —
 ``?partition`` can make a request faster, never less available.
@@ -48,7 +48,6 @@ See ``docs/serving.md`` for the topology and the failure taxonomy.
 
 from __future__ import annotations
 
-import hashlib
 import http.client
 import json
 import os
@@ -65,9 +64,6 @@ from http.server import ThreadingHTTPServer
 from typing import Dict, List, Optional, Sequence, Tuple
 from urllib.parse import parse_qsl, urlsplit
 
-from ..core import build_cache
-from ..core.exceptions import InvalidInstanceError
-from ..io import instance_from_dict
 from .scatter import scatter_solve
 from .server import JsonRequestHandler
 from .supervisor import Supervisor, SupervisorConfig, _src_root
@@ -97,25 +93,8 @@ class RouterConfig:
     log_requests: bool = False
 
 
-def rendezvous_rank(key: str, worker_ids: Sequence[str]) -> List[str]:
-    """Worker ids by descending rendezvous score for ``key``.
-
-    Highest-random-weight hashing: each worker scores
-    ``sha256(worker_id | key)`` and the owner is the max.  Properties
-    the fleet relies on: deterministic (same key, same ranking, on
-    every router restart), uniform (keys spread evenly), and minimally
-    disruptive (removing a worker only moves *its* keys — the ranking
-    of the survivors never changes, so a crash does not reshuffle warm
-    caches fleet-wide).
-    """
-    def score(worker_id: str) -> str:
-        return hashlib.sha256(f"{worker_id}|{key}".encode()).hexdigest()
-
-    return sorted(worker_ids, key=score, reverse=True)
-
-
 class PlanningRouter(ThreadingHTTPServer):
-    """Threaded front-end: affinity routing + failover over a fleet."""
+    """Threaded front-end: owner/load routing + failover over a fleet."""
 
     daemon_threads = True
     allow_reuse_address = True
@@ -137,6 +116,8 @@ class PlanningRouter(ThreadingHTTPServer):
         self._next_seq: Dict[str, int] = {}
         #: worker_id -> requests currently proxied there (least-loaded).
         self._outstanding: Dict[str, int] = {}
+        #: Index into ``worker_ids()`` where the next tie-break starts.
+        self._turn = 0
         self._draining = False
         self.counters: Dict[str, int] = {
             "received": 0,
@@ -171,62 +152,40 @@ class PlanningRouter(ThreadingHTTPServer):
         self._draining = True
 
     # -- routing decisions --------------------------------------------
-    def affinity_key(self, payload: Dict[str, object]) -> Optional[str]:
-        """The routing key of an inline-instance payload.
-
-        Build-cache fingerprint when the instance decodes and
-        fingerprints (this is the exact key the worker's cache will be
-        warm under); canonical-JSON sha256 when the cost model cannot be
-        fingerprinted; ``None`` when the payload does not even decode —
-        the caller then routes by load and lets the worker 400 it.
-        """
-        instance_dict = payload.get("instance")
-        if not isinstance(instance_dict, dict):
-            return None
-        try:
-            instance = instance_from_dict(instance_dict)
-        except InvalidInstanceError:
-            return None
-        try:
-            fingerprint = build_cache.instance_fingerprint(instance)
-        except Exception:
-            fingerprint = None
-        if fingerprint is not None:
-            return fingerprint
-        blob = json.dumps(instance_dict, sort_keys=True).encode()
-        return hashlib.sha256(blob).hexdigest()
-
-    def pick_by_key(self, key: str) -> Optional[str]:
-        """The healthy worker owning ``key`` (rendezvous order).
-
-        The rank is computed over *all* configured workers — not just
-        the healthy ones — so the owner is stable across a crash: the
-        moment the shard's replacement is back, its keys route home to
-        the warm journals instead of staying scattered.
-        """
-        ranked = rendezvous_rank(key, self.supervisor.worker_ids())
-        for worker_id in ranked:
-            if self.supervisor.is_healthy(worker_id):
-                return worker_id
-        if ranked and self.supervisor.wait_healthy(
-            ranked[0], self.config.failover_wait_s
-        ):
-            return ranked[0]
-        return None
-
     def pick_least_loaded(
         self, exclude: Sequence[str] = ()
     ) -> Optional[str]:
-        healthy = [
-            wid for wid, _ in self.supervisor.healthy_workers()
-            if wid not in exclude
-        ]
-        if not healthy:
-            return None
+        """The healthy worker with the fewest requests outstanding.
+
+        Ties are taken in turn: the first tied worker after the last
+        pick, in configured order, so an idle fleet alternates.  Never
+        blocks; ``None`` when no healthy worker outside ``exclude`` is
+        left.
+        """
+        ids = self.supervisor.worker_ids()
+        healthy = {wid for wid, _ in self.supervisor.healthy_workers()}
         with self._lock:
-            return min(
-                healthy, key=lambda wid: self._outstanding.get(wid, 0)
-            )
+            start = self._turn % len(ids) if ids else 0
+            order = [
+                wid for wid in ids[start:] + ids[:start]
+                if wid in healthy and wid not in exclude
+            ]
+            if not order:
+                return None
+            pick = min(order, key=lambda wid: self._outstanding.get(wid, 0))
+            self._turn = ids.index(pick) + 1
+            return pick
+
+    def pick_unowned(self) -> Optional[str]:
+        """Placement of a request no worker owns: the least-loaded
+        healthy worker, waiting up to ``failover_wait_s`` for one to
+        come up when none is (``None`` after that)."""
+        deadline = time.monotonic() + self.config.failover_wait_s
+        while True:
+            worker_id = self.pick_least_loaded()
+            if worker_id is not None or time.monotonic() >= deadline:
+                return worker_id
+            time.sleep(0.02)
 
     def owner_of(self, instance_id: str) -> Optional[str]:
         with self._lock:
@@ -490,14 +449,7 @@ class _RouterHandler(JsonRequestHandler):
         raw = self._read_body()
         if raw is None:
             return
-        payload = self._parse(raw)
-        worker_id = None
-        if payload is not None:
-            key = self.server.affinity_key(payload)
-            if key is not None:
-                worker_id = self.server.pick_by_key(key)
-        if worker_id is None:
-            worker_id = self.server.pick_least_loaded()
+        worker_id = self.server.pick_unowned()
         if worker_id is None:
             self._send_unavailable("no healthy worker to register on")
             return
@@ -667,30 +619,11 @@ class _RouterHandler(JsonRequestHandler):
                 self.server.counters["proxied"] += 1
             self._send_json(status, data)
             return
-        # Inline instance: affinity by content fingerprint when it
-        # decodes, least-loaded otherwise.
-        worker_id = None
-        if payload is not None:
-            key = self.server.affinity_key(payload)
-            if key is not None:
-                worker_id = self.server.pick_by_key(key)
-        if worker_id is None:
-            worker_id = self.server.pick_least_loaded()
-        if worker_id is None:
-            self._send_unavailable("no healthy worker to solve on")
-            return
-        status, data, _ = self.server.proxy_with_failover(
-            worker_id, "/solve", raw, alternate_ok=True
-        )
-        if status is None:
-            self._send_unavailable("solve failed: fleet unreachable")
-            return
-        with self.server._lock:
-            self.server.counters["proxied"] += 1
-        self._send_json(status, data)
+        # Inline instance or malformed body: nobody owns it.
+        self._route_stateless(raw, "/solve")
 
     def _route_stateless(self, raw: bytes, path: str) -> None:
-        worker_id = self.server.pick_least_loaded()
+        worker_id = self.server.pick_unowned()
         if worker_id is None:
             self._send_unavailable("no healthy worker")
             return

@@ -122,24 +122,22 @@ class ResilientRunner:
         present (``utility`` et al.) exactly for ``ok``/``degraded``,
         and any reported plan has passed the independent oracle.
 
-        The cell adopts any fingerprint-equal instance already in the
-        cross-cell build cache and pre-warms the incremental engine
-        build *parent-side*, so every supervised (forked) attempt —
-        retries and all ladder rungs — inherits one set of arrays and
-        one candidate index through copy-on-write instead of rebuilding
-        them per child.  With ``profile=True`` the adoption verdict and
-        the engine's diagnostic counters land in the row.
+        The cell pre-warms the incremental engine build *parent-side*,
+        so every supervised (forked) attempt — retries and all ladder
+        rungs — inherits one set of arrays and one candidate index
+        through copy-on-write instead of rebuilding them per child.
+        With ``profile=True`` the engine's diagnostic counters land in
+        the row.
         """
         config = self.config
         started = time.monotonic()
         try:
-            instance, cache_hit = build_cache.get_or_register(instance)
             build_cache.prepare_build(instance)
         except Exception:
             # A failing parent-side build must not take the cell down:
             # the supervised child rebuilds on its own and reports any
             # failure as a structured error outcome.
-            cache_hit = False
+            pass
         if self.breaker.is_open(name):
             return self._finish(
                 {
@@ -191,8 +189,6 @@ class ResilientRunner:
                         row = self._success_row(
                             name, rung, rung_index, retries, outcome, failures
                         )
-                        if profile:
-                            row["build_cache_hit"] = int(cache_hit)
                         return self._finish(row, started)
                     # Oracle rejection: never retried (the same solve
                     # would deliver the same bad plan) — fall one rung.

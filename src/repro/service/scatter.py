@@ -4,14 +4,13 @@
 into an aggregator.  The instance is cut by
 :func:`repro.core.partition.partition_instance` into per-cell
 sub-instances; each is serialised back to the wire format and fanned to
-a worker's ``POST /subsolve``, with the worker chosen by the same
-content-fingerprint rendezvous affinity as ordinary solves — so
-re-submitting the same huge instance lands every cell on the shard
-whose build cache is already warm for it.  The partial plans come back
-in local cell ids, are mapped to global ids and merged by
-:func:`repro.core.partition.reconcile`, and the merged plan must pass
-the independent oracle (:func:`repro.verify.oracle.verify_schedules`)
-before the router returns a 200.
+a worker's ``POST /subsolve``, placed like every request that no
+worker owns: on the least-loaded healthy worker, ties taken in turn.
+The partial plans come back in local cell ids, are mapped to global
+ids and merged by :func:`repro.core.partition.reconcile`, and the
+merged plan must pass the independent oracle
+(:func:`repro.verify.oracle.verify_schedules`) before the router
+returns a 200.
 
 Partial-failure policy (the PR 10 hardening):
 
@@ -22,9 +21,9 @@ Partial-failure policy (the PR 10 hardening):
   request budget.
 * **Per-cell retry.**  A cell whose dispatch dies (transport error,
   non-200, unreadable reply) is retried once on an *alternate* healthy
-  worker (next in rendezvous order, else least-loaded) instead of
-  discarding the whole partition.  Only when a cell's retries are
-  exhausted does the request degrade to the monolithic fallback.
+  worker (the least-loaded one it has not tried) instead of discarding
+  the whole partition.  Only when a cell's retries are exhausted does
+  the request degrade to the monolithic fallback.
 * **Hedging.**  Once enough sibling cells have returned, a cell still
   outstanding past the p-quantile of their latencies gets a duplicate
   dispatch on another worker; the first valid response wins and the
@@ -53,7 +52,6 @@ not ask for partitioning.
 
 from __future__ import annotations
 
-import hashlib
 import http.client
 import json
 import math
@@ -61,7 +59,6 @@ import time
 from concurrent.futures import FIRST_COMPLETED, ThreadPoolExecutor, wait
 from typing import Dict, List, Optional, Set, Tuple
 
-from ..core import build_cache
 from ..core.exceptions import InvalidInstanceError
 from ..core.partition import (
     DEFAULT_REPAIR_PASSES,
@@ -131,14 +128,13 @@ class _CellTask:
     """Scheduler state of one populated cell."""
 
     __slots__ = (
-        "sub", "body", "affinity", "tried", "failures", "inflight",
+        "sub", "body", "tried", "failures", "inflight",
         "done", "plan", "started", "hedged",
     )
 
-    def __init__(self, sub: SubInstance, body: Dict[str, object], affinity: str):
+    def __init__(self, sub: SubInstance, body: Dict[str, object]):
         self.sub = sub
         self.body = body
-        self.affinity = affinity
         self.tried: Set[str] = set()
         self.failures = 0
         self.inflight = 0
@@ -149,7 +145,7 @@ class _CellTask:
 
 
 def _prepare_cell(sub: SubInstance, payload: Dict[str, object]) -> _CellTask:
-    """Serialise one cell and compute its affinity key (once per cell)."""
+    """Serialise one cell into its ``/subsolve`` body (once per cell)."""
     try:
         sub_dict = instance_to_dict(sub.instance)
     except Exception as exc:
@@ -160,34 +156,7 @@ def _prepare_cell(sub: SubInstance, payload: Dict[str, object]) -> _CellTask:
     body: Dict[str, object] = {"instance": sub_dict}
     if payload.get("algorithm") is not None:
         body["algorithm"] = payload["algorithm"]
-    try:
-        affinity = build_cache.instance_fingerprint(sub.instance)
-    except Exception:
-        affinity = None
-    if affinity is None:
-        blob = json.dumps(sub_dict, sort_keys=True).encode()
-        affinity = hashlib.sha256(blob).hexdigest()
-    return _CellTask(sub, body, affinity)
-
-
-def _pick_worker(router, task: _CellTask) -> Optional[str]:
-    """A healthy worker this cell has not been sent to yet.
-
-    Rendezvous order first (warm build cache), least-loaded as the
-    alternate.  Never blocks: a scatter that cannot place a cell right
-    now fails the cell rather than stalling the gather loop — the
-    monolithic fallback owns the patient waiting.
-    """
-    from .router import rendezvous_rank  # local: router imports scatter
-
-    for worker_id in rendezvous_rank(
-        task.affinity, router.supervisor.worker_ids()
-    ):
-        if worker_id not in task.tried and router.supervisor.is_healthy(
-            worker_id
-        ):
-            return worker_id
-    return router.pick_least_loaded(exclude=tuple(task.tried))
+    return _CellTask(sub, body)
 
 
 def _send_cell(
@@ -261,7 +230,11 @@ def _gather(
     latencies: List[float] = []
 
     def dispatch(task: _CellTask) -> bool:
-        worker_id = _pick_worker(router, task)
+        # The least-loaded healthy worker this cell has not been sent
+        # to.  Never blocks: a cell that cannot be placed right now
+        # fails rather than stalling the gather loop — the monolithic
+        # fallback owns the patient waiting.
+        worker_id = router.pick_least_loaded(exclude=tuple(task.tried))
         if worker_id is None:
             return False
         now = time.monotonic()
@@ -342,7 +315,7 @@ def scatter_solve(
 
     Args:
         router: The :class:`~repro.service.router.PlanningRouter`; it
-            provides affinity routing, the per-call-timeout proxy and
+            provides least-loaded placement, the per-call-timeout proxy and
             the ``partition_*`` counters.
         payload: The parsed client request.  Must carry an inline
             ``instance`` — an ``instance_id`` names state living on one

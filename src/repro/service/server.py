@@ -27,14 +27,13 @@ Request path::
   attempt runs in a forked child, killed at the deadline and capped by
   a data-segment rlimit, so a hostile instance can hang or blow up
   only its own process.
-* Repeated solves are warm.  An inline instance is swapped for its
-  content-identical twin in the cross-cell build cache.  A registered
-  instance keeps its own arrays, candidate index and schedule memo and
-  never enters the build cache: it is mutable, and a twin adopted by
-  an inline request would be solved without its lock.  In-process the
-  schedule memo persists, so a by-id re-solve after churn reschedules
-  only the users whose candidate view changed; a forked child fills
-  its memo and drops it on exit.
+* Re-solving one instance is warm only by id.  A registered instance
+  keeps its own arrays, candidate index and schedule memo.  In-process
+  the schedule memo persists, so a by-id re-solve after churn
+  reschedules only the users whose candidate view changed; a forked
+  child fills its memo and drops it on exit.  An inline instance is
+  built and solved cold in every request; no cache is shared between
+  requests.
 * Every plan is gated by the independent oracle
   (:func:`repro.verify.oracle.verify_schedules`) before it is
   returned; an infeasible plan counts as a rung failure and the next
@@ -53,7 +52,7 @@ Endpoints: ``POST /solve``, ``POST /subsolve`` (one partition cell for
 the router's scatter path — single rung, no oracle; see
 ``docs/partitioning.md``), ``POST /instances``, ``POST /mutate``,
 ``GET /healthz`` (process liveness), ``GET /readyz`` (admission open),
-``GET /stats`` (admission counters + build-cache stats).  See
+``GET /stats`` (admission counters, solve and journal state).  See
 ``docs/serving.md`` for the full API and the failure taxonomy.
 """
 
@@ -527,7 +526,6 @@ class _Handler(JsonRequestHandler):
                 self._send_json(200, {"status": "ready"})
         elif self.path == "/stats":
             stats = self.server.admission.snapshot()
-            stats["build_cache"] = build_cache.stats()
             stats["fork_supported"] = fork_supported()
             stats["in_process"] = self.server.config.in_process
             stats["oldest_solve_s"] = self.server.solve_watch()[0]
@@ -928,7 +926,7 @@ class _Handler(JsonRequestHandler):
                         solved_version = entry.instance.version
                         disposition, status, body = self._solve(
                             entry.instance, algorithm, ticket, deadline,
-                            deadline_s, stored=True,
+                            deadline_s
                         )
                         body["instance_id"] = entry.instance_id
                         body["instance_version"] = solved_version
@@ -994,10 +992,9 @@ class _Handler(JsonRequestHandler):
         watch = self.server.begin_solve(deadline)
         try:
             try:
-                instance, cache_hit = build_cache.get_or_register(instance)
                 build_cache.prepare_build(instance)
             except Exception:
-                cache_hit = False
+                pass  # the solve rebuilds; failure surfaces there
             remaining = deadline - time.monotonic()
             if remaining >= _MIN_SOLVE_BUDGET_S:
                 outcome = run_supervised(
@@ -1027,7 +1024,6 @@ class _Handler(JsonRequestHandler):
                             else outcome.wall_time_s,
                             6,
                         ),
-                        "cache_hit": bool(cache_hit),
                         "supervised": outcome.supervised,
                     }
                 else:
@@ -1116,11 +1112,9 @@ class _Handler(JsonRequestHandler):
         ticket: Ticket,
         deadline: float,
         deadline_s: float,
-        stored: bool = False,
     ):
         """Ladder walk under the request deadline; returns the response.
 
-        ``stored`` marks a registered instance, solved under its lock.
         Returns ``(disposition, http_status, body)`` where disposition
         is the admission counter to settle.
         """
@@ -1129,14 +1123,7 @@ class _Handler(JsonRequestHandler):
         first_rung = start_rung(rungs, ticket.rung_shift)
         rungs = rungs[first_rung:]
 
-        cache_hit = False
         try:
-            # A registered instance never enters the build cache: /mutate
-            # edits it in place, so an inline twin that adopted it would
-            # be solved without its lock.  It warms its own build and
-            # keeps its own schedule memo instead.
-            if not stored:
-                instance, cache_hit = build_cache.get_or_register(instance)
             build_cache.prepare_build(instance)
         except Exception:
             pass  # the solve rebuilds; failure surfaces there
@@ -1192,7 +1179,6 @@ class _Handler(JsonRequestHandler):
                     6,
                 ),
                 "wall_time_s": round(time.monotonic() - solve_started, 6),
-                "cache_hit": bool(cache_hit),
                 "supervised": outcome.supervised,
             }
             if failures:

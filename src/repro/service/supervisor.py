@@ -371,7 +371,7 @@ class Supervisor:
 
     # -- router-facing API --------------------------------------------
     def worker_ids(self) -> List[str]:
-        """All configured worker ids, stable order (rendezvous domain)."""
+        """All configured worker ids, in stable order (the router's tie order)."""
         return list(self._handles)
 
     def healthy_workers(self) -> List[Tuple[str, str]]:

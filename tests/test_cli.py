@@ -214,6 +214,51 @@ class TestServiceFlags:
         out = capsys.readouterr().out
         assert "replayed from journal" in out
 
+    @staticmethod
+    def _one_error_line(err):
+        lines = err.strip().splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), err
+        return lines[0]
+
+    def test_existing_journal_without_resume_is_one_error_line(
+        self, tmp_path, capsys
+    ):
+        journal = str(tmp_path / "run.jsonl")
+        base = ["run", "fig2-cr", "--scale", "tiny", "--no-memory", "--quiet",
+                "--algorithms", "DeGreedy", "--journal", journal]
+        assert main(base) == 0
+        capsys.readouterr()
+        assert main(base) == 2
+        line = self._one_error_line(capsys.readouterr().err)
+        assert "already exists" in line and "--resume" in line
+
+    def test_locked_journal_is_one_error_line(self, tmp_path, capsys):
+        fcntl = pytest.importorskip("fcntl")
+        journal = str(tmp_path / "run.jsonl")
+        base = ["run", "fig2-cr", "--scale", "tiny", "--no-memory", "--quiet",
+                "--algorithms", "DeGreedy", "--journal", journal]
+        assert main(base) == 0
+        capsys.readouterr()
+        with open(journal) as holder:
+            fcntl.flock(holder.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+            assert main(base + ["--resume"]) == 2
+        assert "locked" in self._one_error_line(capsys.readouterr().err)
+
+    def test_run_all_reports_each_refused_journal(self, tmp_path, capsys):
+        from repro.experiments.figures import list_specs
+
+        journal = str(tmp_path / "all.jsonl")
+        specs = list_specs()
+        for spec in specs:
+            with open(str(tmp_path / f"all-{spec.key}-tiny.jsonl"), "w") as f:
+                f.write('{"kind": "header"}\n')
+        code = main(["run-all", "--scale", "tiny", "--no-memory", "--quiet",
+                     "--algorithms", "DeGreedy", "--journal", journal])
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == len(specs)
+        assert all(line.startswith("error: ") for line in err)
+
 
 class TestServeForwardsServerOptions:
     """``serve --workers N`` must give every worker the server options

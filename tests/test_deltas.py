@@ -28,7 +28,6 @@ import numpy as np
 import pytest
 
 from repro.algorithms.registry import make_solver
-from repro.core import build_cache
 from repro.core.deltas import (
     AddEvent,
     AddUser,
@@ -403,33 +402,6 @@ class TestStalenessImpossibleByConstruction:
             before
         )
         assert_delta_matches_cold(instance)
-
-    def test_build_cache_never_adopts_mutated_object(self):
-        # Register the live instance, snapshot its content, mutate it.
-        # A later arrival with the *old* content must not be handed the
-        # mutated live object.
-        instance = make_instance(seed=77)
-        old_content = instance_to_dict(instance)
-        registered, _hit = build_cache.get_or_register(instance)
-        try:
-            apply_mutation(instance, BudgetChange(0, 0.0625))
-            arrival = instance_from_dict(old_content)
-            resolved, _hit = build_cache.get_or_register(arrival)
-            assert resolved is not instance
-            np.testing.assert_array_equal(
-                resolved.utility_matrix(),
-                instance_from_dict(old_content).utility_matrix(),
-            )
-            assert resolved.users[0].budget == arrival.users[0].budget
-        finally:
-            build_cache.forget(instance)
-            build_cache.forget(arrival)
-
-    def test_forget_removes_registration(self):
-        instance = make_instance(seed=78)
-        build_cache.get_or_register(instance)
-        assert build_cache.forget(instance) >= 1
-        assert build_cache.forget(instance) == 0
 
 
 class TestCopiedInstances:

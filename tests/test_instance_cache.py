@@ -1,28 +1,16 @@
-"""Cross-cell build cache: fingerprinting, adoption, LRU bounds.
+"""Instance content fingerprints and the up-front shared build.
 
-The cache (``repro.core.build_cache``) may only equate instances whose
-*content* is identical — same events, users, utility matrix and cost
-model — and must refuse to fingerprint cost models it cannot identify.
-Adoption hands back the registered instance with its warm derived
-structures; plannings must be unaffected.  See docs/performance.md.
+:func:`repro.core.build_cache.instance_fingerprint` may only equate
+instances whose *content* is identical — same events, users, utility
+matrix and cost model — and must refuse to fingerprint cost models it
+cannot identify.  See docs/performance.md.
 """
 
-import pytest
-
-from repro.algorithms import make_solver
 from repro.core import build_cache
-from repro.core.build_cache import get_or_register, instance_fingerprint
-from repro.core.candidates import get_engine
+from repro.core.build_cache import instance_fingerprint
 from repro.core.costs import GridCostModel
 from repro.core.instance import USEPInstance
 from repro.datagen import SyntheticConfig, generate_instance
-
-
-@pytest.fixture(autouse=True)
-def fresh_cache():
-    build_cache.clear()
-    yield
-    build_cache.clear()
 
 
 def _instance(seed=11, **overrides):
@@ -73,62 +61,6 @@ class TestFingerprint:
             instance.utility_matrix(),
         )
         assert instance_fingerprint(opaque) is None
-        adopted, hit = get_or_register(opaque)
-        assert adopted is opaque and hit is False
-        assert build_cache.stats()["uncacheable"] == 1
-
-
-class TestAdoption:
-    def test_rebuild_adopts_the_registered_donor(self):
-        first, hit1 = get_or_register(_instance())
-        rebuilt, hit2 = get_or_register(_instance())
-        assert hit1 is False and hit2 is True
-        assert rebuilt is first
-        stats = build_cache.stats()
-        assert stats["hits"] == 1 and stats["misses"] == 1
-
-    def test_adopted_instance_carries_warm_state(self):
-        donor, _ = get_or_register(_instance())
-        cold_planning = make_solver("DeDPO").solve(donor).as_dict()
-        engine = get_engine(donor)
-        hits0 = engine.memo.hits
-        adopted, hit = get_or_register(_instance())
-        assert hit is True
-        warm_planning = make_solver("DeDPO").solve(adopted).as_dict()
-        assert warm_planning == cold_planning
-        assert engine.memo.hits - hits0 == adopted.num_users
-
-    def test_different_content_never_adopts(self):
-        get_or_register(_instance(seed=11))
-        other, hit = get_or_register(_instance(seed=12))
-        assert hit is False
-        assert build_cache.stats()["misses"] == 2
-
-
-class TestBounds:
-    def test_lru_eviction_beyond_max_entries(self):
-        instances = [
-            _instance(seed=20 + i) for i in range(build_cache.MAX_ENTRIES + 2)
-        ]
-        for instance in instances:
-            get_or_register(instance)
-        stats = build_cache.stats()
-        assert stats["entries"] == build_cache.MAX_ENTRIES
-        assert stats["evictions"] == 2
-        # oldest entry is gone: re-registering it is a miss again
-        _, hit = get_or_register(_instance(seed=20))
-        assert hit is False
-        # newest entry is still warm
-        _, hit = get_or_register(_instance(seed=20 + build_cache.MAX_ENTRIES + 1))
-        assert hit is True
-
-    def test_clear_resets_everything(self):
-        get_or_register(_instance())
-        build_cache.clear()
-        stats = build_cache.stats()
-        assert stats == {
-            "hits": 0, "misses": 0, "uncacheable": 0, "evictions": 0, "entries": 0,
-        }
 
 
 class TestPrepareBuild:

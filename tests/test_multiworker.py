@@ -1,4 +1,4 @@
-"""Multi-process fleet tests: affinity, chaos recovery, rolling drain.
+"""Multi-process fleet tests: placement, chaos recovery, rolling drain.
 
 These boot real worker subprocesses through
 :class:`repro.service.router.LocalCluster` and kill them with real
@@ -111,7 +111,9 @@ class TestFleetBasics:
             assert all(w["healthy"] for w in stats["supervisor"])
             assert {w["worker_id"] for w in stats["workers"]} == {"w0", "w1"}
 
-    def test_same_content_registers_on_the_same_shard(self, tmp_path):
+    def test_registrations_alternate_across_shards(self, tmp_path):
+        """Placement is by load, not content: on an idle fleet the same
+        instance registered three times lands on w0, w1, w0."""
         wire = instance_to_dict(build_example_instance())
         with LocalCluster(workers=2, journal_root=str(tmp_path)) as cluster:
             ids = []
@@ -122,7 +124,9 @@ class TestFleetBasics:
                 assert status == 200
                 assert body["durable"] is True
                 ids.append(body["instance_id"])
-            assert len({_worker_of(instance_id) for instance_id in ids}) == 1
+            assert [_worker_of(instance_id) for instance_id in ids] == [
+                "w0", "w1", "w0",
+            ]
 
     def test_mutate_and_solve_route_to_the_owner(self, tmp_path):
         wire = instance_to_dict(build_example_instance())
@@ -511,7 +515,7 @@ class TestFleetScatter:
 
     The router's aggregator path (docs/partitioning.md): a clustered
     instance is cut into grid cells, fanned to the workers' ``POST
-    /subsolve`` by content affinity, merged, and oracle-verified before
+    /subsolve`` by load, merged, and oracle-verified before
     the 200.  Any partition-path failure — an unknown scheme aside,
     which is the client's error — must degrade to the monolithic proxy
     path, never surface as a 500.

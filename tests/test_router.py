@@ -1,16 +1,19 @@
-"""Router unit tests: rendezvous hashing, seq stamping, routing picks.
+"""Router unit tests: seq stamping, routing picks, request placement.
 
 Everything here runs in-process against a stub supervisor; the
 multi-process behaviour (real workers, real SIGKILL) lives in
 tests/test_multiworker.py.
 """
 
+import json
+import threading
+import time
+
 import pytest
 
-from repro.core import build_cache
-from repro.io import instance_from_dict, instance_to_dict
+from repro.io import instance_to_dict
 from repro.paper_example import build_example_instance
-from repro.service.router import PlanningRouter, RouterConfig, rendezvous_rank
+from repro.service.router import PlanningRouter, RouterConfig, request_json
 
 
 class StubSupervisor:
@@ -53,37 +56,6 @@ def router():
     instance.server_close()
 
 
-class TestRendezvous:
-    WORKERS = ["w0", "w1", "w2", "w3"]
-
-    def test_deterministic_permutation(self):
-        first = rendezvous_rank("some-fingerprint", self.WORKERS)
-        second = rendezvous_rank("some-fingerprint", self.WORKERS)
-        assert first == second
-        assert sorted(first) == sorted(self.WORKERS)
-
-    def test_input_order_does_not_matter(self):
-        forward = rendezvous_rank("key", self.WORKERS)
-        backward = rendezvous_rank("key", list(reversed(self.WORKERS)))
-        assert forward == backward
-
-    def test_removal_moves_only_the_victims_keys(self):
-        """The minimal-disruption property: dropping w2 must not change
-        the relative order of the survivors for any key."""
-        keys = [f"fingerprint-{i}" for i in range(200)]
-        for key in keys:
-            full = rendezvous_rank(key, self.WORKERS)
-            reduced = rendezvous_rank(key, ["w0", "w1", "w3"])
-            assert [w for w in full if w != "w2"] == reduced
-
-    def test_keys_spread_over_the_fleet(self):
-        owners = {
-            rendezvous_rank(f"fingerprint-{i}", self.WORKERS)[0]
-            for i in range(200)
-        }
-        assert owners == set(self.WORKERS)
-
-
 class TestSeqStamping:
     def test_stamps_monotone_sequence(self, router):
         payloads = [{"instance_id": "w0-inst-000000"} for _ in range(3)]
@@ -115,41 +87,7 @@ class TestSeqStamping:
         assert router.owner_of("inst-a") is None
 
 
-class TestAffinityKey:
-    def test_fingerprintable_instance_uses_build_cache_key(self, router):
-        wire = instance_to_dict(build_example_instance())
-        key = router.affinity_key({"instance": wire})
-        expected = build_cache.instance_fingerprint(instance_from_dict(wire))
-        assert key == expected
-
-    def test_same_content_same_key(self, router):
-        wire = instance_to_dict(build_example_instance())
-        assert router.affinity_key({"instance": dict(wire)}) == (
-            router.affinity_key({"instance": dict(wire)})
-        )
-
-    def test_undecodable_instance_has_no_key(self, router):
-        assert router.affinity_key({"instance": {"bogus": True}}) is None
-        assert router.affinity_key({"instance": "not-a-dict"}) is None
-        assert router.affinity_key({}) is None
-
-
 class TestPicks:
-    def test_pick_by_key_is_the_rendezvous_owner(self, router):
-        key = "some-key"
-        owner = rendezvous_rank(key, router.supervisor.worker_ids())[0]
-        assert router.pick_by_key(key) == owner
-
-    def test_pick_by_key_falls_to_next_healthy(self, router):
-        key = "some-key"
-        ranked = rendezvous_rank(key, router.supervisor.worker_ids())
-        router.supervisor.healthy.discard(ranked[0])
-        assert router.pick_by_key(key) == ranked[1]
-
-    def test_pick_by_key_none_when_fleet_is_down(self, router):
-        router.supervisor.healthy.clear()
-        assert router.pick_by_key("any") is None
-
     def test_pick_least_loaded_prefers_idle_worker(self, router):
         with router._lock:
             router._outstanding.update({"w0": 3, "w1": 0, "w2": 5, "w3": 2})
@@ -164,3 +102,113 @@ class TestPicks:
     def test_pick_least_loaded_none_when_fleet_is_down(self, router):
         router.supervisor.healthy.clear()
         assert router.pick_least_loaded() is None
+
+    def test_ties_are_taken_in_turn(self, router):
+        picks = [router.pick_least_loaded() for _ in range(6)]
+        assert picks == ["w0", "w1", "w2", "w3", "w0", "w1"]
+
+    def test_exclude_is_respected(self, router):
+        assert router.pick_least_loaded(exclude=("w0", "w1", "w3")) == "w2"
+        assert router.pick_least_loaded(exclude=("w0", "w1", "w2", "w3")) is None
+
+
+class TestPlacement:
+    """Where the router's HTTP handlers send each request.
+
+    The router serves real HTTP against the stub supervisor; its
+    ``proxy_with_failover`` is replaced by a recorder that answers for
+    the worker it was handed, so each test reads the placement
+    decision directly.
+    """
+
+    @pytest.fixture
+    def fleet(self, router):
+        sent = []
+
+        def answer(worker_id, path, body, alternate_ok):
+            sent.append((worker_id, path, body))
+            reply = {"status": "ok"}
+            if path == "/instances":
+                reply["instance_id"] = f"{worker_id}-inst-{len(sent):06d}"
+            return 200, json.dumps(reply).encode(), worker_id
+
+        router.proxy_with_failover = answer
+        router.serve_in_thread()
+        host, port = router.server_address[:2]
+        yield router, f"http://{host}:{port}", sent
+        router.shutdown()
+
+    def test_idle_fleet_alternates_registrations_and_inline_solves(self, fleet):
+        router, base, sent = fleet
+        wire = {"instance": instance_to_dict(build_example_instance())}
+        for path in ("/instances", "/solve", "/instances", "/solve"):
+            assert request_json(base, path, wire)[0] == 200
+        assert [worker for worker, _, _ in sent] == ["w0", "w1", "w2", "w3"]
+        # Identical content is placed by load, not by what it contains.
+        assert len({body for _, _, body in sent}) == 1
+
+    def test_workers_with_more_outstanding_are_skipped(self, fleet):
+        router, base, sent = fleet
+        with router._lock:
+            router._outstanding.update({"w0": 2, "w1": 1, "w2": 0, "w3": 1})
+        for capacity in (2, 3, 4):
+            wire = instance_to_dict(build_example_instance())
+            wire["events"][0]["capacity"] = capacity
+            for path in ("/solve", "/instances"):
+                assert request_json(base, path, {"instance": wire})[0] == 200
+        # Six requests, three contents: every one goes to the idle worker.
+        assert {worker for worker, _, _ in sent} == {"w2"}
+        assert len(sent) == 6
+
+    def test_malformed_body_is_placed_by_load(self, fleet):
+        router, base, sent = fleet
+        with router._lock:
+            router._outstanding.update({"w0": 1, "w1": 1, "w2": 0, "w3": 1})
+        status, _ = request_json(base, "/solve", raw_body=b"{not json")
+        assert status == 200
+        assert sent[0][0] == "w2"
+
+    def test_unowned_request_waits_for_a_healthy_worker(self, fleet):
+        router, base, sent = fleet
+        router.config = RouterConfig(failover_wait_s=10.0)
+        router.supervisor.healthy.clear()
+        revive = threading.Timer(
+            0.3, lambda: router.supervisor.healthy.add("w3")
+        )
+        revive.start()
+        try:
+            started = time.monotonic()
+            status, _ = request_json(
+                base, "/instances",
+                {"instance": instance_to_dict(build_example_instance())},
+            )
+            waited = time.monotonic() - started
+        finally:
+            revive.cancel()
+        assert status == 200
+        assert sent[0][0] == "w3"
+        assert 0.25 <= waited < 10.0
+
+    def test_unowned_request_answers_503_once_the_wait_runs_out(self, fleet):
+        router, base, sent = fleet
+        router.config = RouterConfig(failover_wait_s=0.3)
+        router.supervisor.healthy.clear()
+        wire = {"instance": instance_to_dict(build_example_instance())}
+        for path in ("/instances", "/solve"):
+            started = time.monotonic()
+            status, body = request_json(base, path, wire)
+            assert time.monotonic() - started >= 0.3
+            assert (status, body["error"]) == (503, "worker-unavailable")
+        assert sent == []
+
+    def test_owned_requests_go_to_the_owner(self, fleet):
+        router, base, sent = fleet
+        router.record_owner("w2-inst-000000", "w2")
+        with router._lock:
+            router._outstanding.update({"w0": 0, "w1": 0, "w2": 5, "w3": 0})
+        owned = {"instance_id": "w2-inst-000000"}
+        for path in ("/mutate", "/compact", "/solve"):
+            assert request_json(base, path, dict(owned))[0] == 200
+        assert [(worker, path) for worker, path, _ in sent] == [
+            ("w2", "/mutate"), ("w2", "/compact"), ("w2", "/solve"),
+        ]

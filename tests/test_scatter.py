@@ -41,7 +41,7 @@ class FakeSupervisor:
 
 
 class FakeRouter:
-    """Just enough router: affinity fleet, counters, recording proxy.
+    """Just enough router: a fleet, counters, recording proxy.
 
     ``behavior(index, worker_id, payload)`` decides each subsolve call's
     fate (``index`` is the global call order); the default answers every

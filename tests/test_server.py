@@ -96,7 +96,7 @@ class TestEndpoints:
     def test_stats_shape(self, server):
         status, body, _ = _request(server, "/stats")
         assert status == 200
-        for key in ("counters", "inflight", "queued", "config", "build_cache"):
+        for key in ("counters", "inflight", "queued", "config"):
             assert key in body
         assert set(body["counters"]) == {
             "received", "ok", "degraded", "shed", "invalid", "failed",
@@ -136,11 +136,13 @@ class TestSolve:
         )
         assert report.ok, report.summary()
 
-    def test_repeat_solve_hits_build_cache(self, server, example_payload):
+    def test_repeat_solve_returns_the_same_plan(self, server, example_payload):
         first = _request(server, "/solve", payload=example_payload)[1]
         second = _request(server, "/solve", payload=example_payload)[1]
-        assert first["utility"] == second["utility"]
-        assert second["cache_hit"] is True
+        assert (second["schedules"], second["utility"]) == (
+            first["schedules"], first["utility"],
+        )
+        assert "cache_hit" not in second
 
     def test_deadline_clamped_to_cap(self, example_payload):
         srv = _start(
@@ -1074,16 +1076,14 @@ class TestStuckSolveWatchdog:
 
 
 class TestByIdSolveIsolation:
-    """A registered instance never enters the build cache, so an inline
-    request of equal content can never adopt it and solve it without
-    its lock while ``/mutate`` edits it."""
+    """An inline request of equal content never solves a registered
+    instance: a ``/mutate`` that edits the registered one while the
+    inline solve is under way leaves the inline plan that of its own
+    content."""
 
     @pytest.mark.parametrize("in_process", [True, False], ids=["in-process", "fork"])
-    def test_inline_solve_unaffected_by_concurrent_mutate(
-        self, monkeypatch, in_process
-    ):
+    def test_inline_solve_unaffected_by_concurrent_mutate(self, in_process):
         from repro.algorithms import make_solver
-        from repro.core import build_cache
         from repro.io import (
             canonical_planning_bytes,
             instance_from_dict,
@@ -1095,22 +1095,18 @@ class TestByIdSolveIsolation:
 
             if not executor.fork_supported():
                 pytest.skip("fork-less platform")
-        build_cache.clear()
-        real = build_cache.get_or_register
         armed, adopted, release = (threading.Event() for _ in range(3))
 
-        def holding(instance):
-            result = real(instance)
+        def holding(_ticket):
             if armed.is_set():
                 armed.clear()
                 adopted.set()
                 release.wait(60)
-            return result
 
-        monkeypatch.setattr(build_cache, "get_or_register", holding)
         config = ServerConfig(in_process=in_process)
         wire = instance_to_dict(build_example_instance())
         srv = _start(config)
+        srv.pre_solve_hook = holding
         try:
             _, body, _ = _request(srv, "/instances", {"instance": wire})
             instance_id = body["instance_id"]

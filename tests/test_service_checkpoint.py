@@ -114,8 +114,61 @@ class TestResumeAfterTornTail:
         with open(path, "a") as handle:
             handle.write('\n{"kind": "cell", "point": 1, "solver": "A", '
                          '"row": {}}\n')
-        with pytest.raises(json.JSONDecodeError):
+        with pytest.raises(JournalMismatchError, match="line 3"):
             canonical_bytes(str(path))
+
+
+class TestCorruptJournalRefused:
+    """Damage other than a torn final line is a structured
+    :class:`JournalMismatchError` naming the line, from every reader:
+    resume, :func:`load_rows` and :func:`canonical_bytes` alike."""
+
+    @staticmethod
+    def _readers(path):
+        return (
+            lambda: _open(path, resume=True, algorithms=("A", "B")),
+            lambda: load_rows(str(path)),
+            lambda: canonical_bytes(str(path)),
+        )
+
+    @staticmethod
+    def _journal_then(path, *lines):
+        with _open(path, algorithms=("A", "B")) as journal:
+            journal.record((0, "A"), {"solver": "A", "n": 1})
+        with open(path, "a") as handle:
+            for line in lines:
+                handle.write(line + "\n")
+
+    @pytest.mark.parametrize("record", ["[1, 2]", "42", '"cell"', "null"])
+    def test_record_that_is_not_an_object(self, tmp_path, record):
+        path = tmp_path / "sweep.jsonl"
+        self._journal_then(path, record)
+        for read in self._readers(path):
+            with pytest.raises(JournalMismatchError, match="line 3.*not a JSON object"):
+                read()
+
+    @pytest.mark.parametrize("missing", ["point", "solver", "row"])
+    def test_cell_record_lacking_a_key(self, tmp_path, missing):
+        path = tmp_path / "sweep.jsonl"
+        cell = {"kind": "cell", "point": 1, "solver": "A", "row": {"n": 2}}
+        del cell[missing]
+        self._journal_then(path, json.dumps(cell))
+        for read in self._readers(path):
+            with pytest.raises(JournalMismatchError, match="line 3"):
+                read()
+
+    def test_torn_interior_line_is_not_dropped(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        self._journal_then(
+            path,
+            '{"kind": "cell", "point": 1, "solv',
+            json.dumps({"kind": "cell", "point": 1, "solver": "B", "row": {}}),
+        )
+        for read in self._readers(path):
+            with pytest.raises(JournalMismatchError, match="line 3.*torn"):
+                read()
+        # Refused before anything is repaired or appended.
+        assert path.read_text().count("\n") == 4
 
 
 class TestJournalLock:

@@ -60,12 +60,10 @@ def _register_on_each_shard(base, failures):
     """Register instances until both shards hold one; returns {shard: id}."""
     wire = instance_to_dict(build_example_instance())
     by_shard = {}
-    # Same content always routes to the same shard (affinity), so vary
-    # the content: bump an event capacity to move the fingerprint.
+    # Registrations go to the least-loaded shard, ties taken in turn, so
+    # on an idle fleet the first two land on different shards.
     for attempt in range(16):
-        body = json.loads(json.dumps(wire))
-        body["events"][0]["capacity"] = 40 + attempt
-        status, reply = request_json(base, "/instances", {"instance": body})
+        status, reply = request_json(base, "/instances", {"instance": wire})
         if status != 200:
             failures.append(f"registration {attempt} -> {status}: {reply}")
             return by_shard

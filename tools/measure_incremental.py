@@ -1,16 +1,13 @@
 """EX-INC: measure the incremental scheduling engine's reuse rates.
 
 Quantifies, at the mid-range sweep point (|V|=60, |U|=600 — the same
-point as EX-SVC), the three layers of ``docs/performance.md``:
+point as EX-SVC), the two reuse layers of ``docs/performance.md``:
 
 1. **Candidate index** — what fraction of positive-utility (event,
    user) pairs Lemma 1 prunes before any scheduler call sees them;
 2. **Dirty-set memo** — schedule-memo hit rate over a repeated-solve
    workload (re-solves on a warm instance: +RG re-running its base,
-   verification passes, bench repeats), plus cold vs warm solve times;
-3. **Cross-cell build cache** — hit rate when the same sweep point is
-   rebuilt per cell, as the parallel harness does, plus the setup time
-   an adopted cell skips.
+   verification passes, bench repeats), plus cold vs warm solve times.
 
 Usage::
 
@@ -89,40 +86,12 @@ def measure_memo(instance, resolves: int) -> List[Dict[str, object]]:
     return rows
 
 
-def measure_build_cache(events: int, users: int, seed: int, cells: int):
-    """Rebuild the same point per cell (parallel-harness style) and adopt."""
-    from repro.algorithms.registry import make_solver
-    from repro.core import build_cache
-    from repro.core.candidates import get_engine
-
-    build_cache.clear()
-    cell_times = []
-    for _ in range(cells):
-        start = time.perf_counter()
-        instance = _build(events, users, seed)
-        instance, _ = build_cache.get_or_register(instance)
-        get_engine(instance).index  # the setup an adopted cell reuses
-        make_solver("DeGreedy").solve(instance)
-        cell_times.append(time.perf_counter() - start)
-    stats = build_cache.stats()
-    build_cache.clear()
-    return {
-        "cells": cells,
-        "hits": stats["hits"],
-        "misses": stats["misses"],
-        "hit_rate": round(stats["hits"] / max(cells, 1), 4),
-        "first_cell_s": round(cell_times[0], 4),
-        "adopted_cell_s": round(min(cell_times[1:]), 4),
-    }
-
-
 def main(argv: Optional[List[str]] = None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--events", type=int, default=60)
     parser.add_argument("--users", type=int, default=600)
     parser.add_argument("--seed", type=int, default=8)
     parser.add_argument("--resolves", type=int, default=5)
-    parser.add_argument("--cells", type=int, default=4)
     parser.add_argument("--json", action="store_true", help="machine-readable output")
     args = parser.parse_args(argv)
 
@@ -131,9 +100,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "point": {"events": args.events, "users": args.users, "seed": args.seed},
         "candidate_index": measure_index(instance),
         "schedule_memo": measure_memo(instance, args.resolves),
-        "build_cache": measure_build_cache(
-            args.events, args.users, args.seed, args.cells
-        ),
     }
     if args.json:
         print(json.dumps(report, indent=2))
@@ -154,13 +120,6 @@ def main(argv: Optional[List[str]] = None) -> int:
             f"{row['cold_s'] * 1000:7.1f}ms {row['warm_s'] * 1000:7.1f}ms "
             f"{row['warm_speedup']:7.2f}x"
         )
-    cache = report["build_cache"]
-    print(
-        f"\nbuild cache ({cache['cells']} rebuilt cells of one point): "
-        f"hit rate {cache['hit_rate']:.1%}; first cell "
-        f"{cache['first_cell_s'] * 1000:.1f} ms, adopted cell "
-        f"{cache['adopted_cell_s'] * 1000:.1f} ms"
-    )
     return 0
 
 

@@ -3,7 +3,7 @@
 
 Reproduces the EXPERIMENTS.md `EX-SRV` entry.  Boots an in-thread
 :class:`~repro.service.server.PlanningServer` on an ephemeral port,
-warms the build cache with one solve, then measures over real HTTP:
+warms it up with two solves, then measures over real HTTP:
 
 1. **at capacity** — for each queue depth in ``--depths``, fires
    ``--requests`` solves at concurrency ``max_inflight + depth`` (the
@@ -224,7 +224,7 @@ def _measure_multiworker(args, payload):
         "requests_per_point": args.requests,
         "max_inflight_per_worker": args.max_inflight,
         "queue_depth_per_worker": depth,
-        "mode": "in-process workers behind the affinity router",
+        "mode": "in-process workers behind the least-loaded router",
         # Stamped so readers can tell real scaling loss from a fleet
         # that simply outnumbered the recording box's cores — the CI
         # guard skips the scaling-efficiency assertion for fleets
@@ -411,7 +411,7 @@ def main(argv=None) -> int:
         host, port = server.server_address[:2]
         base = f"http://{host}:{port}"
         try:
-            _fire(base, payload, 2, 1)  # warm the build cache
+            _fire(base, payload, 2, 1)  # warm-up, not measured
             capacity = args.max_inflight + depth
             at_capacity = _fire(base, payload, args.requests, capacity)
             over = _fire(base, payload, args.requests, 2 * capacity)
