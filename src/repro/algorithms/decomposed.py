@@ -142,9 +142,9 @@ class DecomposedSolver(Solver):
         # subtracts a positive owner utility), and events failing Lemma 1
         # can never be scheduled — the candidate index precomputes both
         # filters per user, in end-time order.  Where the index is
-        # unavailable (user-cost caching disabled) the scan falls back to
-        # the positive entries of the utility column, grouped per user
-        # upfront with a single nonzero pass.
+        # unavailable (user-cost caching disabled, or a scheduler without
+        # a memo namespace) the scan walks the positive entries of the
+        # utility column, grouped per user upfront with one nonzero pass.
         index = engine.index if memo_kind is not None else None
         prof = instrument.active()
         if index is not None:
@@ -164,6 +164,7 @@ class DecomposedSolver(Solver):
             else:
                 per_user_candidates = [[] for _ in range(num_users)]
             presorted = False
+        memo = engine.memo if memo_kind is not None else None
         memo_hits0, memo_misses0 = engine.memo.hits, engine.memo.misses
         scheduler_calls = 0
         reassignments = 0
@@ -175,31 +176,26 @@ class DecomposedSolver(Solver):
         # pool's heap per user.  ``steal_off`` stays 0.0 until the pool
         # saturates, so ``mu - steal_off`` is the unsaturated value
         # exactly; the views and schedules are bit-identical to the
-        # per-candidate ``pick`` scan below, which remains for the
-        # index-less fallback.
-        fast_scan = index is not None
-        if fast_scan:
-            memo = engine.memo
-            steal_off = [0.0] * num_events
-            steal_k = [0] * num_events
-
-            def note_assigned(event_id: int, pool: _PseudoEventPool) -> None:
-                if pool.next_free >= pool.capacity:
-                    owner_mu, k = pool.peek_steal(event_utils[event_id])
-                    steal_off[event_id] = owner_mu
-                    steal_k[event_id] = k
+        # per-candidate ``_PseudoEventPool.pick`` scan of the ``*-seed``
+        # twins.
+        steal_off = [0.0] * num_events
+        steal_k = [0] * num_events
 
         for r in range(num_users):
             deadline.check()
             scheduler_calls += 1
-            if fast_scan:
-                kept: List[int] = []
-                vals: List[float] = []
-                for v in per_user_candidates[r]:
-                    prime = event_utils[v][r] - steal_off[v]
-                    if prime > 0.0:
-                        kept.append(v)
-                        vals.append(prime)
+            kept: List[int] = []
+            vals: List[float] = []
+            for v in per_user_candidates[r]:
+                prime = event_utils[v][r] - steal_off[v]
+                if prime > 0.0:
+                    kept.append(v)
+                    vals.append(prime)
+            if memo is None:
+                schedule = self._single_scheduler(
+                    instance, r, kept, dict(zip(kept, vals))
+                )
+            else:
                 view = (tuple(kept), tuple(vals))
                 schedule = memo.get(memo_kind, r, view)
                 if schedule is None:
@@ -215,43 +211,18 @@ class DecomposedSolver(Solver):
                             presorted=presorted,
                         ),
                     )
-                for event_id in schedule:
-                    pool = pools[event_id]
-                    if pool.next_free < pool.capacity:
-                        k = pool.next_free
-                    else:
-                        k = steal_k[event_id]
-                        reassignments += 1
-                    pool.assign(k, r, event_utils[event_id][r])
-                    note_assigned(event_id, pool)
-                continue
-            candidates: List[int] = []
-            utilities: Dict[int, float] = {}
-            chosen_k: Dict[int, int] = {}
-            for i in per_user_candidates[r]:
-                mu_vr = event_utils[i][r]
-                k, mu_prime = pools[i].pick(mu_vr, event_utils[i])
-                if mu_prime > 0.0:
-                    candidates.append(i)
-                    utilities[i] = mu_prime
-                    chosen_k[i] = k
-            if memo_kind is not None:
-                schedule = engine.schedule(
-                    memo_kind,
-                    self._single_scheduler,
-                    r,
-                    candidates,
-                    utilities,
-                    presorted,
-                )
-            else:
-                schedule = self._single_scheduler(instance, r, candidates, utilities)
             for event_id in schedule:
-                k = chosen_k[event_id]
                 pool = pools[event_id]
-                if pool.owners[k] is not None:
+                if pool.next_free < pool.capacity:
+                    k = pool.next_free
+                else:
+                    k = steal_k[event_id]
                     reassignments += 1
                 pool.assign(k, r, event_utils[event_id][r])
+                if pool.next_free >= pool.capacity:
+                    steal_off[event_id], steal_k[event_id] = pool.peek_steal(
+                        event_utils[event_id]
+                    )
 
         # Step 2 (lines 11-14): each copy goes to its final owner.
         planning = Planning(instance)

@@ -74,6 +74,7 @@ def _run_one(key: str, args) -> int:
             )
             return 2
         return _run_replicated(spec, algorithms, args)
+    journal = _journal_path(args, spec)
     try:
         result = run_sweep(
             axis=spec.axis,
@@ -87,12 +88,17 @@ def _run_one(key: str, args) -> int:
             timeout=args.timeout,
             ladder=args.ladder,
             max_retries=args.max_retries,
-            journal=_journal_path(args, spec),
+            journal=journal,
             resume=args.resume,
             profile=args.profile,
         )
     except (JournalMismatchError, JournalLockedError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except OSError as exc:  # the journal's disk failed (or is missing)
+        if journal is None:
+            raise
+        print(f"error: journal {journal!r}: {exc}", file=sys.stderr)
         return 2
     print(format_panels(result))
     status = _report_verification(result.rows) if args.verify else 0

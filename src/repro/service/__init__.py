@@ -19,7 +19,8 @@ reporting a bad plan:
   gate: no plan is reported unless it passes Definition 2 verification.
 * :mod:`repro.service.checkpoint` — JSONL journal giving
   ``run_sweep`` checkpoint/resume: a killed sweep replays its journal
-  and reruns only the missing cells.
+  and reruns only the missing cells.  It and the per-instance journals
+  write through one record log, :mod:`repro.service.recordlog`.
 * :mod:`repro.service.faults` — seeded, deterministic fault injection
   used by the chaos suite to prove each recovery path fires.
 

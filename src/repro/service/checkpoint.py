@@ -5,8 +5,8 @@ journal attached, :func:`~repro.experiments.harness.run_sweep` appends
 each completed cell row to disk *as it finishes* (one JSON object per
 line, flushed and fsync'd, so a SIGKILL can lose at most the cell in
 flight), and a ``--resume`` run replays the journal and executes only
-the missing cells.  Before it appends, resume cuts a torn final line
-(:func:`repair_tail`), so the next row starts on a line of its own.
+the missing cells.  Records reach the disk through
+:mod:`repro.service.recordlog`, as the instance journals' do.
 
 Format (``docs/robustness.md`` has the full description)::
 
@@ -33,6 +33,8 @@ import json
 import os
 from typing import Dict, List, Optional, Sequence, Tuple
 
+from .recordlog import JournalMismatchError, RecordLog, read_records, repair_tail
+
 try:  # POSIX only; the journal degrades to unlocked elsewhere
     import fcntl
 except ImportError:  # pragma: no cover - Windows
@@ -56,10 +58,6 @@ TIMING_FIELDS = (
 CellKey = Tuple[int, str]
 
 
-class JournalMismatchError(RuntimeError):
-    """The journal on disk records a different sweep than requested."""
-
-
 class JournalLockedError(RuntimeError):
     """Another live process holds the journal (concurrent sweep/server).
 
@@ -72,7 +70,8 @@ class SweepJournal:
     """Append-only JSONL ledger of completed sweep cells.
 
     Open once per sweep via :meth:`open`; ``existing_rows`` then holds
-    whatever a previous (interrupted) run completed.
+    whatever a previous (interrupted) run completed.  A disk fault
+    raises :class:`OSError` out of :meth:`record`; resume continues.
     """
 
     def __init__(
@@ -80,11 +79,12 @@ class SweepJournal:
         path: str,
         header: Dict[str, object],
         existing_rows: Dict[CellKey, Dict[str, object]],
+        log: RecordLog,
     ):
         self.path = path
         self.header = header
         self.existing_rows = existing_rows
-        self._handle = None
+        self._log = log
 
     # -- construction --------------------------------------------------
     @classmethod
@@ -102,9 +102,9 @@ class SweepJournal:
         stale ledger must never be extended by accident; delete it or
         pass ``resume=True``.
 
-        The opened handle takes an advisory exclusive ``fcntl`` lock
-        held until :meth:`close`: a second sweep or server pointed at
-        the same ``--journal`` raises :class:`JournalLockedError`
+        The opened log takes an advisory exclusive ``fcntl`` lock held
+        until :meth:`close`: a second sweep or server pointed at the
+        same ``--journal`` raises :class:`JournalLockedError`
         immediately instead of interleaving torn rows.  Where ``fcntl``
         is unavailable (Windows) the lock is a no-op, matching the rest
         of the platform-degradation story.
@@ -123,29 +123,32 @@ class SweepJournal:
                 f"journal {path!r} already exists; pass resume=True "
                 "(--resume) to continue it or remove the file"
             )
-        handle = open(path, "a")
+        log = RecordLog(path)
         try:
-            cls._lock(handle, path)
+            log.open()
+            cls._lock(log, path)
             if exists:
                 on_disk_header, existing = cls._load(path)
                 cls._check_header(path, on_disk_header, header)
                 repair_tail(path)
+            else:
+                try:
+                    log.append(header)
+                except OSError:
+                    log.delete()  # a headerless file would refuse every rerun
+                    raise
         except BaseException:
-            handle.close()
+            log.close()
             raise
-        journal = cls(path, header, existing)
-        journal._handle = handle
-        if not exists:
-            journal._write_line(header)
-        return journal
+        return cls(path, header, existing, log)
 
     @staticmethod
-    def _lock(handle, path: str) -> None:
+    def _lock(log: RecordLog, path: str) -> None:
         """Take the advisory exclusive lock (no-op without fcntl)."""
         if fcntl is None:
             return
         try:
-            fcntl.flock(handle.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
+            fcntl.flock(log.fileno(), fcntl.LOCK_EX | fcntl.LOCK_NB)
         except OSError as exc:  # BlockingIOError on contention
             raise JournalLockedError(
                 f"journal {path!r} is locked by another live process "
@@ -178,15 +181,10 @@ class SweepJournal:
                 )
 
     # -- writing -------------------------------------------------------
-    def _write_line(self, entry: Dict[str, object]) -> None:
-        self._handle.write(json.dumps(entry, sort_keys=True) + "\n")
-        self._handle.flush()
-        os.fsync(self._handle.fileno())
-
     def record(self, key: CellKey, row: Dict[str, object]) -> None:
         """Journal one completed cell (durable before returning)."""
         point, solver = key
-        self._write_line(
+        self._log.append(
             {"kind": "cell", "point": point, "solver": solver, "row": row}
         )
         self.existing_rows[key] = row
@@ -200,80 +198,13 @@ class SweepJournal:
         return self.existing_rows.get(key)
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self._log.close()
 
     def __enter__(self) -> "SweepJournal":
         return self
 
     def __exit__(self, *_exc) -> None:
         self.close()
-
-
-def repair_tail(path: str) -> None:
-    """Make a JSONL journal end on a whole record before appending to it.
-
-    Replay skips a final line that does not decode: the torn write of a
-    killed run.  A record appended after it would be glued onto that
-    fragment, so the next replay would drop it too, and once one more
-    record follows, the glued line sits mid-file as corruption.  So
-    before a journal is reopened for appending, an undecodable final
-    line is cut, and a decodable final line that lacks its newline gets
-    one.  The records on disk are then exactly the ones replay applied,
-    and the next record starts on a line of its own.
-    """
-    with open(path, "rb+") as handle:
-        data = handle.read()
-        end = len(data.rstrip())
-        start = data.rfind(b"\n", 0, end) + 1
-        if start == end:
-            return
-        try:
-            json.loads(data[start:end])
-        except ValueError:  # JSONDecodeError, or a cut multi-byte char
-            handle.truncate(start)
-        else:
-            if data.endswith(b"\n"):
-                return
-            handle.write(b"\n")
-        handle.flush()
-        os.fsync(handle.fileno())
-
-
-def read_records(path: str) -> List[Tuple[int, Dict[str, object]]]:
-    """``(line number, record)`` for every record of a JSONL journal.
-
-    The one reader of both journals.  Only a torn *final* line is
-    tolerated (skipped): the write a SIGKILL cut short.  A torn line
-    with a record after it, or a line that decodes to something other
-    than a JSON object, is corruption and raises
-    :class:`JournalMismatchError` naming the line.
-    """
-    records: List[Tuple[int, Dict[str, object]]] = []
-    torn_at: Optional[int] = None
-    with open(path, "rb") as handle:
-        for lineno, line in enumerate(handle, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            if torn_at is not None:
-                raise JournalMismatchError(
-                    f"journal {path!r} is corrupt at line {torn_at} "
-                    "(torn record before end of file)"
-                )
-            try:
-                entry = json.loads(line)
-            except ValueError:  # JSONDecodeError, or a cut multi-byte char
-                torn_at = lineno  # tolerated iff it stays the last line
-                continue
-            if not isinstance(entry, dict):
-                raise JournalMismatchError(
-                    f"journal {path!r} is corrupt at line {lineno} "
-                    "(record is not a JSON object)"
-                )
-            records.append((lineno, entry))
-    return records
 
 
 def _sweep_records(path: str) -> List[Dict[str, object]]:

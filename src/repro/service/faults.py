@@ -45,13 +45,14 @@ means every attempt), so a test can express "fail twice, then
 succeed" and exercise the retry path end to end.
 
 Beyond compute faults, the module also injects *disk* faults into the
-per-instance journal writer (see :data:`DISK_FAULT_KINDS` and
-:class:`FaultyJournalIO`): fsync EIO, ENOSPC, and torn mid-record
+record log both journals write through (see :data:`DISK_FAULT_KINDS`
+and :class:`FaultyJournalIO`): fsync EIO, ENOSPC, and torn mid-record
 writes.  :func:`install_disk` arms them process-wide;
 :func:`install_disk_from_env` lets the chaos tooling arm them in
 worker *subprocesses* through the :data:`DISK_FAULT_ENV` variable.
-The journal must respond by degrading (``journal_degraded``), never by
-crashing the worker.
+An instance journal must respond by degrading (``journal_degraded``),
+never by crashing the worker; a sweep fails with the ``OSError`` and
+resumes from its journal.
 """
 
 from __future__ import annotations
@@ -63,6 +64,8 @@ import time
 import zlib
 from dataclasses import dataclass
 from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+
+from .recordlog import JournalIO
 
 #: Exit code a ``crash`` fault kills the worker with; the supervisor
 #: reports it in the outcome's ``error`` field.
@@ -262,15 +265,15 @@ def _lookup(cell: Optional[CellKey], attempt: int) -> Optional[FaultSpec]:
 
 
 # ---------------------------------------------------------------------------
-# Disk faults: injected into the per-instance journal writer
+# Disk faults: injected into the journals' record log
 # ---------------------------------------------------------------------------
 
-#: Disk-fault kinds the journal writer can be poisoned with:
+#: Disk-fault kinds the record log's writer can be poisoned with:
 #:
 #: ``disk-eio``
 #:     The record reaches the OS but fsync fails with EIO — the classic
-#:     dying-disk signature.  Durability is unknowable; the journal
-#:     must degrade.
+#:     dying-disk signature.  Durability is unknowable; an instance
+#:     journal must degrade.
 #: ``disk-enospc``
 #:     The write itself fails with ENOSPC before any byte lands.
 #: ``disk-torn``
@@ -344,29 +347,25 @@ class DiskFaultSpec:
         return cls(kind=kind, after_writes=after, attempts=attempts)
 
 
-class FaultyJournalIO:
-    """Duck-type twin of :class:`repro.service.journal.JournalIO` that
-    fires a :class:`DiskFaultSpec` on record writes.
+class FaultyJournalIO(JournalIO):
+    """The record log's :class:`~repro.service.recordlog.JournalIO`
+    with a :class:`DiskFaultSpec` fired on record writes.
 
     One instance counts writes process-wide, so ``after_writes`` means
-    "the Nth journal record this worker persists", whichever instance
-    it belongs to — exactly how a shared disk fails.
+    "the Nth journal record this process persists", whichever journal
+    it belongs to — sweep or instance — exactly how a shared disk
+    fails.
     """
 
     def __init__(self, spec: DiskFaultSpec) -> None:
         self.spec = spec
         self.writes = 0
 
-    def open(self, path: str, mode: str):
-        return open(path, mode)
-
     def write_record(self, handle, text: str) -> None:
         index = self.writes
         self.writes += 1
         if not self.spec.armed(index):
-            handle.write(text)
-            handle.flush()
-            os.fsync(handle.fileno())
+            super().write_record(handle, text)
             return
         if self.spec.kind == "disk-enospc":
             raise OSError(errno.ENOSPC, "injected ENOSPC: no space left")
@@ -380,9 +379,6 @@ class FaultyJournalIO:
         handle.flush()
         raise OSError(errno.EIO, "injected fsync EIO")
 
-    def replace(self, src: str, dst: str) -> None:
-        os.replace(src, dst)
-
 
 #: The armed disk-fault writer; ``None`` means journal I/O is real.
 _DISK: Optional[FaultyJournalIO] = None
@@ -395,7 +391,7 @@ def install_disk(spec: Optional[DiskFaultSpec]) -> None:
 
 
 def active_disk_io() -> Optional[FaultyJournalIO]:
-    """The armed faulty writer, if any (queried by the journal)."""
+    """The armed faulty writer, if any (queried by the record log)."""
     return _DISK
 
 

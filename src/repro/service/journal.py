@@ -10,8 +10,9 @@ is acknowledged.  A restarted worker replays the journal through
 at the same ``instance_version`` — bit-identical to the pre-crash
 state, which the chaos suite asserts by content fingerprint.
 
-Format (one JSON object per line, the :mod:`repro.service.checkpoint`
-idioms — header fingerprint, fsync per record, torn-tail tolerance)::
+Format (a :mod:`repro.service.recordlog` log, like the sweep
+checkpoints: one JSON object per line, fsync per record, torn-tail
+tolerance)::
 
     {"kind": "header", "version": 1, "instance_id": "w0-inst-000000",
      "content_sha256": "...", "instance": { ... repro.io form ... }}
@@ -22,7 +23,7 @@ idioms — header fingerprint, fsync per record, torn-tail tolerance)::
 * The header's ``content_sha256`` fingerprints the canonical
   registration payload; replaying a journal whose header hash disagrees
   with its own ``instance`` body raises
-  :class:`~repro.service.checkpoint.JournalMismatchError` rather than
+  :class:`~repro.service.recordlog.JournalMismatchError` rather than
   silently recovering corrupted state.
 * ``mutate`` records carry the *applied prefix* of each batch (a batch
   stopped by an invalid mutation journals only what applied) plus the
@@ -43,8 +44,8 @@ Two robustness layers on top of the PR 8 format:
   recovery stays bit-identical — a crash mid-compaction leaves either
   the old journal or the new one, never a mix.  A snapshot-first
   journal replays exactly like a header-first one.
-* **Disk-fault degradation.**  All journal I/O goes through an
-  injectable :class:`JournalIO` writer (see
+* **Disk-fault degradation.**  All journal I/O goes through the record
+  log's injectable :class:`~repro.service.recordlog.JournalIO` (see
   :func:`repro.service.faults.install_disk` for the fault-injecting
   twin).  An ``OSError`` from write/fsync/rename — EIO on fsync, ENOSPC,
   a torn mid-record write — flips the journal into a structured
@@ -60,22 +61,26 @@ import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 from ..core.deltas import apply_mutation
 from ..core.exceptions import InvalidInstanceError
 from ..io import instance_from_dict, mutation_from_dict
-from .checkpoint import JournalMismatchError, read_records, repair_tail
+from .recordlog import (  # noqa: F401 - COMPACT_SUFFIX is re-exported
+    COMPACT_SUFFIX,
+    JournalMismatchError,
+    RecordLog,
+    read_records,
+    repair_tail,
+)
 
 INSTANCE_JOURNAL_VERSION = 1
 
 #: Journal files live as ``<dir>/<instance_id>.journal.jsonl``.
+#: Compaction scratch files (``<journal>.compact``) never match it, so
+#: a crash mid-compaction leaves a stale scratch file that recovery
+#: simply ignores.
 JOURNAL_SUFFIX = ".journal.jsonl"
-
-#: Compaction scratch files (``<journal>.compact``) never match
-#: :data:`JOURNAL_SUFFIX`, so a crash mid-compaction leaves a stale
-#: scratch file that recovery simply ignores.
-COMPACT_SUFFIX = ".compact"
 
 
 def journal_path(directory: str, instance_id: str) -> str:
@@ -87,40 +92,6 @@ def content_sha256(instance_dict: Dict) -> str:
     """Canonical hash of a registration payload (sorted-key JSON)."""
     blob = json.dumps(instance_dict, sort_keys=True).encode()
     return hashlib.sha256(blob).hexdigest()
-
-
-class JournalIO:
-    """The disk operations a journal performs, as an injectable seam.
-
-    The default implementation is the real thing; the chaos suite
-    installs :class:`repro.service.faults.FaultyJournalIO` (same duck
-    type) to make fsync EIO / ENOSPC / torn mid-record writes happen on
-    demand.  Every method may raise :class:`OSError`; the journal
-    converts that into its degraded state rather than letting it reach
-    the request path.
-    """
-
-    def open(self, path: str, mode: str):
-        return open(path, mode)
-
-    def write_record(self, handle, text: str) -> None:
-        """Write one full record durably (write + flush + fsync)."""
-        handle.write(text)
-        handle.flush()
-        os.fsync(handle.fileno())
-
-    def replace(self, src: str, dst: str) -> None:
-        os.replace(src, dst)
-
-
-_REAL_IO = JournalIO()
-
-
-def _active_io() -> JournalIO:
-    """The process-wide journal writer (fault-injected when armed)."""
-    from . import faults  # local import: faults must not import journal
-
-    return faults.active_disk_io() or _REAL_IO
 
 
 class InstanceJournal:
@@ -140,22 +111,28 @@ class InstanceJournal:
     journal a state the replay can never reach.
     """
 
-    def __init__(self, path: str, handle, io: Optional[JournalIO] = None) -> None:
+    def __init__(self, path: str) -> None:
         self.path = path
-        self._handle = handle
-        #: Pin a writer for this journal's lifetime; ``None`` resolves
-        #: the active writer per operation, so a fault armed *after*
-        #: the journal opened (mid-churn chaos) still strikes it.
-        self._io_override = io
+        self.log = RecordLog(path)
         #: ``None`` while healthy; a reason string once a disk fault
         #: has flipped the journal to non-durable.
         self.degraded: Optional[str] = None
 
-    @property
-    def _io(self) -> JournalIO:
-        if self._io_override is not None:
-            return self._io_override
-        return _active_io()
+    def _durably(self, what: str, operation: Callable, *args) -> bool:
+        """Run one log operation; an :class:`OSError` degrades the
+        journal for good.  ``False`` when it did not run or failed."""
+        if self.degraded is not None:
+            return False
+        try:
+            operation(*args)
+        except OSError as exc:
+            self.degraded = f"{what} failed: {exc}"
+            try:
+                self.log.close()
+            except OSError:
+                pass
+            return False
+        return True
 
     # -- construction --------------------------------------------------
     @classmethod
@@ -168,25 +145,20 @@ class InstanceJournal:
         instead, so a full disk cannot fail (or crash) registration —
         the instance just is not durable.
         """
-        io = _active_io()
-        path = journal_path(directory, instance_id)
-        try:
+        journal = cls(journal_path(directory, instance_id))
+
+        def open_log() -> None:
             os.makedirs(directory, exist_ok=True)
-            handle = io.open(path, "w")
-        except OSError as exc:
-            journal = cls(path, None)
-            journal._degrade(f"open failed: {exc}")
-            return journal
-        journal = cls(path, handle)
-        journal._write_line(
-            {
+            journal.log.open(truncate=True)
+
+        if journal._durably("open", open_log):
+            journal._durably("write", journal.log.append, {
                 "kind": "header",
                 "version": INSTANCE_JOURNAL_VERSION,
                 "instance_id": instance_id,
                 "content_sha256": content_sha256(instance_dict),
                 "instance": instance_dict,
-            }
-        )
+            })
         return journal
 
     @classmethod
@@ -194,41 +166,19 @@ class InstanceJournal:
         """Reattach to an existing journal for appending (after replay).
 
         A torn final line, which replay skipped, is cut first
-        (:func:`~repro.service.checkpoint.repair_tail`): appended after
+        (:func:`~repro.service.recordlog.repair_tail`): appended after
         it, the next record would be glued onto the fragment and lost.
         """
-        io = _active_io()
-        try:
+        journal = cls(path)
+
+        def reattach() -> None:
             repair_tail(path)
-            handle = io.open(path, "a")
-        except OSError as exc:
-            journal = cls(path, None)
-            journal._degrade(f"reopen failed: {exc}")
-            return journal
-        return cls(path, handle)
+            journal.log.open()
+
+        journal._durably("reopen", reattach)
+        return journal
 
     # -- writing -------------------------------------------------------
-    def _degrade(self, reason: str) -> None:
-        self.degraded = reason
-        handle, self._handle = self._handle, None
-        if handle is not None:
-            try:
-                handle.close()
-            except OSError:
-                pass
-
-    def _write_line(self, entry: Dict[str, object]) -> bool:
-        if self.degraded is not None or self._handle is None:
-            return False
-        try:
-            self._io.write_record(
-                self._handle, json.dumps(entry, sort_keys=True) + "\n"
-            )
-        except OSError as exc:
-            self._degrade(f"write failed: {exc}")
-            return False
-        return True
-
     def append_mutations(
         self,
         mutations_wire: Sequence[Dict],
@@ -251,7 +201,7 @@ class InstanceJournal:
         }
         if seq is not None:
             entry["seq"] = seq
-        return self._write_line(entry)
+        return self._durably("write", self.log.append, entry)
 
     def compact(
         self,
@@ -270,8 +220,6 @@ class InstanceJournal:
         Returns ``False`` and degrades the journal on any disk fault
         (the pre-compaction file stays intact in that case).
         """
-        if self.degraded is not None or self._handle is None:
-            return False
         entry: Dict[str, object] = {
             "kind": "snapshot",
             "version": INSTANCE_JOURNAL_VERSION,
@@ -282,41 +230,15 @@ class InstanceJournal:
         }
         if last_seq is not None:
             entry["last_seq"] = last_seq
-        scratch = self.path + COMPACT_SUFFIX
-        try:
-            handle = self._io.open(scratch, "w")
-            try:
-                self._io.write_record(
-                    handle, json.dumps(entry, sort_keys=True) + "\n"
-                )
-            finally:
-                handle.close()
-            self._io.replace(scratch, self.path)
-            self._handle.close()
-            self._handle = self._io.open(self.path, "a")
-        except OSError as exc:
-            try:
-                os.unlink(scratch)
-            except OSError:
-                pass
-            self._degrade(f"compaction failed: {exc}")
-            return False
-        return True
+        return self._durably("compaction", self.log.rewrite, entry)
 
     def close(self) -> None:
-        if self._handle is not None:
-            self._handle.close()
-            self._handle = None
+        self.log.close()
 
     def delete(self) -> None:
         """Close and remove the file (instance evicted: state is gone
         on purpose, a restart must not resurrect it)."""
-        self.close()
-        for path in (self.path, self.path + COMPACT_SUFFIX):
-            try:
-                os.unlink(path)
-            except FileNotFoundError:
-                pass
+        self.log.delete()
 
 
 @dataclass
@@ -367,13 +289,19 @@ def _decode_base(path: str, base: Dict) -> Tuple[str, object, Optional[int]]:
         # so post-snapshot mutate records still version-check.
         instance._version = version  # noqa: SLF001
         seq = base.get("last_seq")
-        if seq is not None and not isinstance(seq, int):
+        if not _int_or_none(seq):
             raise JournalMismatchError(
                 f"instance journal {path!r} snapshot has a non-integer "
                 "last_seq"
             )
         last_seq = seq
     return instance_id, instance, last_seq
+
+
+def _int_or_none(value: object) -> bool:
+    """Whether a journalled ``seq``/``version`` has the type ``/mutate``
+    accepts (an int that is not a bool), or is absent."""
+    return value is None or (isinstance(value, int) and not isinstance(value, bool))
 
 
 def replay_journal(path: str) -> RecoveredInstance:
@@ -384,26 +312,37 @@ def replay_journal(path: str) -> RecoveredInstance:
     chaos suite asserts.  The first record may be the original
     ``header`` or a compaction ``snapshot``; either way the mutate
     suffix replays on top.  Raises
-    :class:`~repro.service.checkpoint.JournalMismatchError` on a
-    missing/corrupt header and :class:`InvalidInstanceError` when a
+    :class:`~repro.service.recordlog.JournalMismatchError` on a
+    missing/corrupt header or a malformed mutate record (naming its
+    line), and :class:`InvalidInstanceError` when a
     journalled mutation no longer applies (divergent journal).
     """
-    entries = [entry for _, entry in read_records(path)]
-    if not entries or entries[0].get("kind") not in ("header", "snapshot"):
+    records = read_records(path)
+    if not records or records[0][1].get("kind") not in ("header", "snapshot"):
         raise JournalMismatchError(
             f"instance journal {path!r} has no header line"
         )
-    instance_id, instance, last_seq = _decode_base(path, entries[0])
+    instance_id, instance, last_seq = _decode_base(path, records[0][1])
 
     batches = 0
     mutations_applied = 0
-    for entry in entries[1:]:
+    for lineno, entry in records[1:]:
         if entry.get("kind") != "mutate":
             continue
         seq = entry.get("seq")
+        if not (
+            isinstance(entry.get("mutations"), list)
+            and _int_or_none(seq)
+            and _int_or_none(entry.get("version"))
+        ):
+            raise JournalMismatchError(
+                f"instance journal {path!r} is corrupt at line {lineno} (a "
+                "mutate record needs a mutations list, and an integer seq "
+                "and version where present)"
+            )
         if seq is not None and last_seq is not None and seq <= last_seq:
             continue  # duplicate batch (retried after a crash): idempotent
-        for i, wire in enumerate(entry.get("mutations", ())):
+        for i, wire in enumerate(entry["mutations"]):
             try:
                 mutation = mutation_from_dict(wire, f"{path}[{batches}][{i}]")
                 apply_mutation(instance, mutation)

@@ -376,14 +376,11 @@ class _RouterHandler(JsonRequestHandler):
     # -- POST ----------------------------------------------------------
     def do_POST(self):  # noqa: N802 - stdlib casing
         parts = urlsplit(self.path)
-        handlers = {
-            "/solve": self._route_solve,
-            "/instances": self._route_instances,
-            "/mutate": self._route_mutate,
-            "/compact": self._route_compact,
-        }
-        handler = handlers.get(parts.path)
-        if handler is None:
+        if parts.path == "/instances":
+            handler = self._route_instances
+        elif parts.path in ("/solve", "/mutate", "/compact"):
+            handler = lambda: self._route_by_owner(parts.path)  # noqa: E731
+        else:
             self._send_error_json(
                 404, "not-found", f"no such endpoint {self.path!r}"
             )
@@ -466,74 +463,44 @@ class _RouterHandler(JsonRequestHandler):
                 instance_id = None
             if isinstance(instance_id, str):
                 self.server.record_owner(instance_id, served_by)
-        with self.server._lock:
-            self.server.counters["proxied"] += 1
-        self._send_json(status, data)
+        self._send_proxied(status, data)
 
-    def _route_mutate(self) -> None:
-        raw = self._read_body()
-        if raw is None:
-            return
-        payload = self._parse(raw)
-        if payload is None or not isinstance(payload.get("instance_id"), str):
-            # Malformed: any worker produces the canonical 400.
-            self._route_stateless(raw, "/mutate")
-            return
-        instance_id = payload["instance_id"]
-        worker_id = self.server.owner_of(instance_id)
-        if worker_id is None:
-            self._send_error_json(
-                404, "not-found", f"no instance {instance_id!r}"
-            )
-            return
-        self.server.stamp_seq(instance_id, payload)
-        body = json.dumps(payload).encode()
-        if not self.server.supervisor.is_healthy(worker_id):
-            self.server.supervisor.wait_healthy(
-                worker_id, self.server.config.failover_wait_s
-            )
-        # Mutations are shard-bound: never rerouted to a worker that
-        # does not hold the journal (alternate_ok=False).
-        status, data, _ = self.server.proxy_with_failover(
-            worker_id, "/mutate", body, alternate_ok=False
-        )
-        if status is None:
-            self._send_unavailable(
-                f"shard {worker_id!r} of {instance_id!r} is unreachable"
-            )
-            return
-        if status in (404, 410):
-            self.server.forget_owner(instance_id)
-        with self.server._lock:
-            self.server.counters["proxied"] += 1
-        self._send_json(status, data)
+    def _route_by_owner(self, path: str, raw: Optional[bytes] = None) -> None:
+        """``/solve``, ``/mutate`` and ``/compact``: to the owner, else
+        by load.
 
-    def _route_compact(self) -> None:
-        """Maintenance: journal compaction goes to the owning shard.
-
-        Shard-bound like ``/mutate`` (the journal lives there), but
-        idempotent and unsequenced — no seq stamp, plain failover.
+        A body naming an ``instance_id`` goes to the worker that owns
+        it — its journal, index and memo live there — and never to
+        another (``alternate_ok=False``); the owner's 404 or 410 makes
+        the router forget it.  ``/mutate`` bodies are stamped with a
+        ``seq`` first, so a failover retry is deduplicated.  Any other
+        body (an inline instance, or a malformed one that any worker
+        answers with the canonical 400) has no owner.
         """
-        raw = self._read_body()
         if raw is None:
-            return
+            raw = self._read_body()
+            if raw is None:
+                return
         payload = self._parse(raw)
-        if payload is None or not isinstance(payload.get("instance_id"), str):
-            self._route_stateless(raw, "/compact")
+        instance_id = payload.get("instance_id") if payload is not None else None
+        if not isinstance(instance_id, str):
+            self._route_stateless(raw, path)
             return
-        instance_id = payload["instance_id"]
         worker_id = self.server.owner_of(instance_id)
         if worker_id is None:
             self._send_error_json(
                 404, "not-found", f"no instance {instance_id!r}"
             )
             return
+        if path == "/mutate":
+            self.server.stamp_seq(instance_id, payload)
+            raw = json.dumps(payload).encode()
         if not self.server.supervisor.is_healthy(worker_id):
             self.server.supervisor.wait_healthy(
                 worker_id, self.server.config.failover_wait_s
             )
         status, data, _ = self.server.proxy_with_failover(
-            worker_id, "/compact", raw, alternate_ok=False
+            worker_id, path, raw, alternate_ok=False
         )
         if status is None:
             self._send_unavailable(
@@ -542,15 +509,7 @@ class _RouterHandler(JsonRequestHandler):
             return
         if status in (404, 410):
             self.server.forget_owner(instance_id)
-        with self.server._lock:
-            self.server.counters["proxied"] += 1
-        self._send_json(status, data)
-
-    def _route_solve(self) -> None:
-        raw = self._read_body()
-        if raw is None:
-            return
-        self._route_solve_body(raw)
+        self._send_proxied(status, data)
 
     def _route_solve_partitioned(self, params: Dict[str, str]) -> None:
         """``/solve?partition=grid``: scatter/gather, monolithic fallback.
@@ -589,38 +548,7 @@ class _RouterHandler(JsonRequestHandler):
             return
         with self.server._lock:
             self.server.counters["partition_fallbacks"] += 1
-        self._route_solve_body(raw)
-
-    def _route_solve_body(self, raw: bytes) -> None:
-        payload = self._parse(raw)
-        if payload is not None and isinstance(payload.get("instance_id"), str):
-            instance_id = payload["instance_id"]
-            worker_id = self.server.owner_of(instance_id)
-            if worker_id is None:
-                self._send_error_json(
-                    404, "not-found", f"no instance {instance_id!r}"
-                )
-                return
-            if not self.server.supervisor.is_healthy(worker_id):
-                self.server.supervisor.wait_healthy(
-                    worker_id, self.server.config.failover_wait_s
-                )
-            status, data, _ = self.server.proxy_with_failover(
-                worker_id, "/solve", raw, alternate_ok=False
-            )
-            if status is None:
-                self._send_unavailable(
-                    f"shard {worker_id!r} of {instance_id!r} is unreachable"
-                )
-                return
-            if status in (404, 410):
-                self.server.forget_owner(instance_id)
-            with self.server._lock:
-                self.server.counters["proxied"] += 1
-            self._send_json(status, data)
-            return
-        # Inline instance or malformed body: nobody owns it.
-        self._route_stateless(raw, "/solve")
+        self._route_by_owner("/solve", raw)
 
     def _route_stateless(self, raw: bytes, path: str) -> None:
         worker_id = self.server.pick_unowned()
@@ -633,6 +561,9 @@ class _RouterHandler(JsonRequestHandler):
         if status is None:
             self._send_unavailable("fleet unreachable")
             return
+        self._send_proxied(status, data)
+
+    def _send_proxied(self, status: int, data: bytes) -> None:
         with self.server._lock:
             self.server.counters["proxied"] += 1
         self._send_json(status, data)

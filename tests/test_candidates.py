@@ -115,7 +115,8 @@ class TestCacheUserCostsOff:
         self, seed, num_events, num_users, mean_capacity, conflict_ratio,
         budget_factor, distribution,
     ):
-        """The indexed list scan against the index-less ``pick`` scan."""
+        """The indexed scan against the index-less one, and each
+        against its ``*-seed`` twin's per-candidate ``pick`` scan."""
         instance = generate_instance(SyntheticConfig(
             seed=seed,
             num_events=num_events,
@@ -130,6 +131,8 @@ class TestCacheUserCostsOff:
             with_index = make_solver(name).solve(instance)
             without_index = make_solver(name).solve(off)
             assert with_index.as_dict() == without_index.as_dict(), name
+            seed_twin = make_solver(f"{name}-seed").solve(off)
+            assert without_index.as_dict() == seed_twin.as_dict(), name
 
 
 class TestScheduleMemo:

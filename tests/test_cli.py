@@ -244,6 +244,38 @@ class TestServiceFlags:
             assert main(base + ["--resume"]) == 2
         assert "locked" in self._one_error_line(capsys.readouterr().err)
 
+    def test_journal_in_a_missing_directory_is_one_error_line(
+        self, tmp_path, capsys
+    ):
+        journal = str(tmp_path / "missing" / "run.jsonl")
+        code = main(["run", "fig2-cr", "--scale", "tiny", "--no-memory",
+                     "--quiet", "--algorithms", "DeGreedy",
+                     "--journal", journal])
+        assert code == 2
+        line = self._one_error_line(capsys.readouterr().err)
+        assert f"journal {journal!r}" in line and "No such file" in line
+
+    def test_run_all_reports_each_journal_disk_fault(self, tmp_path, capsys):
+        from repro.experiments.figures import list_specs
+        from repro.service import faults
+
+        # Write 0 is the first journal's header; every write after it
+        # fails, the first spec's cell record and each later header.
+        faults.install_disk(faults.DiskFaultSpec("disk-enospc", after_writes=1))
+        try:
+            code = main(["run-all", "--scale", "tiny", "--no-memory",
+                         "--quiet", "--algorithms", "DeGreedy",
+                         "--journal", str(tmp_path / "all.jsonl")])
+        finally:
+            faults.install_disk(None)
+        assert code == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == len(list_specs())
+        assert all(
+            line.startswith("error: journal ") and "ENOSPC" in line
+            for line in err
+        )
+
     def test_run_all_reports_each_refused_journal(self, tmp_path, capsys):
         from repro.experiments.figures import list_specs
 

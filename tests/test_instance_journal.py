@@ -129,11 +129,9 @@ class TestSeqDedupe:
         wire = [mutation_to_dict(mutation)]
         journal.append_mutations(wire, 0, instance.version)
         # the retried duplicate: same seq, same batch, stale version tag
-        journal._handle.write(
-            json.dumps(
-                {"kind": "mutate", "mutations": wire, "seq": 0,
-                 "version": instance.version}
-            ) + "\n"
+        journal.log.append(
+            {"kind": "mutate", "mutations": wire, "seq": 0,
+             "version": instance.version}
         )
         journal.close()
         recovered = replay_journal(journal.path)
@@ -568,6 +566,33 @@ class TestRecoverAll:
         assert [r.instance_id for r in recovered] == ["inst-good"]
         assert len(failures) == 1
         assert "inst-bad" in failures[0]
+
+    def test_malformed_mutate_records_fail_one_journal_each(self, tmp_path):
+        """A mutate record of the wrong shape is corruption naming its
+        line, never a TypeError that stops worker boot."""
+        InstanceJournal.create(
+            str(tmp_path), "inst-good", instance_to_dict(build_example_instance())
+        ).close()
+        bad = {
+            "inst-bad-0": [{"kind": "mutate", "mutations": 5, "version": 1}],
+            "inst-bad-1": [{"kind": "mutate", "mutations": [], "seq": 0},
+                           {"kind": "mutate", "mutations": [], "seq": "1"}],
+            "inst-bad-2": [{"kind": "mutate", "mutations": [], "version": True}],
+            "inst-bad-3": [{"kind": "mutate", "mutations": [], "seq": 1.5}],
+        }
+        for name, records in bad.items():
+            journal = InstanceJournal.create(
+                str(tmp_path), name, instance_to_dict(build_example_instance())
+            )
+            for record in records:
+                journal.log.append(record)
+            journal.close()
+        recovered, failures = recover_all(str(tmp_path))
+        assert [r.instance_id for r in recovered] == ["inst-good"]
+        assert len(failures) == len(bad)
+        for name, failure in zip(sorted(bad), failures):
+            line = len(bad[name]) + 1
+            assert name in failure and f"corrupt at line {line}" in failure
 
     def test_missing_directory_is_empty(self, tmp_path):
         recovered, failures = recover_all(str(tmp_path / "never-created"))

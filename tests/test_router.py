@@ -212,3 +212,29 @@ class TestPlacement:
         assert [(worker, path) for worker, path, _ in sent] == [
             ("w2", "/mutate"), ("w2", "/compact"), ("w2", "/solve"),
         ]
+
+    @pytest.mark.parametrize("path", ["/mutate", "/compact", "/solve"])
+    def test_owner_routed_paths_share_one_contract(self, fleet, path):
+        router, base, sent = fleet
+        unknown = {"instance_id": "w1-inst-000009"}
+        status, body = request_json(base, path, unknown)
+        assert (status, body["error"]) == (404, "not-found")
+        assert sent == []
+
+        owned = {"instance_id": "w1-inst-000001"}
+        router.record_owner(owned["instance_id"], "w1")
+        assert request_json(base, path, dict(owned))[0] == 200
+        ((worker, sent_path, forwarded),) = sent
+        assert (worker, sent_path) == ("w1", path)
+        # Only /mutate is stamped with a seq; the rest go as sent.
+        assert ("seq" in json.loads(forwarded)) == (path == "/mutate")
+
+        router.proxy_with_failover = lambda *args, **kwargs: (None, b"", "w1")
+        status, body = request_json(base, path, dict(owned))
+        assert (status, body["error"]) == (503, "worker-unavailable")
+        assert router.owner_of(owned["instance_id"]) == "w1"
+
+        evicted = json.dumps({"error": "instance-evicted"}).encode()
+        router.proxy_with_failover = lambda *args, **kwargs: (410, evicted, "w1")
+        assert request_json(base, path, dict(owned))[0] == 410
+        assert router.owner_of(owned["instance_id"]) is None

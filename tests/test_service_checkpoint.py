@@ -4,6 +4,16 @@ import json
 
 import pytest
 
+from repro.core.deltas import apply_mutation
+from repro.datagen import SyntheticConfig, generate_instance
+from repro.experiments import SweepPoint, run_sweep
+from repro.io import (
+    instance_from_dict,
+    instance_to_dict,
+    mutation_from_dict,
+    mutation_to_dict,
+)
+from repro.service import faults
 from repro.service.checkpoint import (
     JournalLockedError,
     JournalMismatchError,
@@ -12,6 +22,7 @@ from repro.service.checkpoint import (
     load_rows,
     strip_timing,
 )
+from repro.service.journal import InstanceJournal, replay_journal
 
 
 def _open(path, resume=False, algorithms=("DeDPO", "DeGreedy"), num_points=2):
@@ -259,3 +270,138 @@ class TestCanonicalForm:
     def test_strip_timing_helper(self):
         row = {"solver": "DeDPO", "time_s": 1.0, "peak_mem_kb": 5, "utility": 2}
         assert strip_timing(row) == {"solver": "DeDPO", "utility": 2}
+
+
+class TestBytesOnDisk:
+    """The exact bytes each journal writes: a change to how records
+    reach the disk must not change what the disk holds."""
+
+    #: A one-event, one-user registration in canonical wire form.
+    INSTANCE = {
+        "format_version": 1,
+        "name": "pin",
+        "events": [{"id": 0, "location": [0.0, 0.0], "capacity": 2,
+                    "start": 0.0, "end": 1.0, "name": "v0"}],
+        "users": [{"id": 0, "location": [1.0, 0.0], "budget": 4.0,
+                   "name": "u0"}],
+        "cost_model": {"type": "grid", "metric": "manhattan",
+                       "speed": None, "integral": True},
+        "utilities": [[0.5]],
+    }
+
+    HEADER = (
+        b'{"content_sha256": "b43d8a165e943b1932f9d13f696eec9d2d33bcb942158'
+        b'7fabe973493a79e4413", "instance": {"cost_model": {"integral": true,'
+        b' "metric": "manhattan", "speed": null, "type": "grid"}, "events": '
+        b'[{"capacity": 2, "end": 1.0, "id": 0, "location": [0.0, 0.0], '
+        b'"name": "v0", "start": 0.0}], "format_version": 1, "name": "pin", '
+        b'"users": [{"budget": 4.0, "id": 0, "location": [1.0, 0.0], "name": '
+        b'"u0"}], "utilities": [[0.5]]}, "instance_id": "inst-000000", '
+        b'"kind": "header", "version": 1}\n'
+    )
+    MUTATE = (
+        b'{"kind": "mutate", "mutations": [{"capacity": 1, "event_id": 0, '
+        b'"op": "capacity_change"}], "seq": 0, "version": 1}\n'
+    )
+    SNAPSHOT = (
+        b'{"content_sha256": "346f061e5f59976226f6fd9fa47c7190a486fa4a345712'
+        b'098f2030f09e47891a", "instance": {"cost_model": {"integral": true,'
+        b' "metric": "manhattan", "speed": null, "type": "grid"}, "events": '
+        b'[{"capacity": 1, "end": 1.0, "id": 0, "location": [0.0, 0.0], '
+        b'"name": "v0", "start": 0.0}], "format_version": 1, "name": "pin", '
+        b'"users": [{"budget": 4.0, "id": 0, "location": [1.0, 0.0], "name": '
+        b'"u0"}], "utilities": [[0.5]]}, "instance_id": "inst-000000", '
+        b'"instance_version": 1, "kind": "snapshot", "last_seq": 0, '
+        b'"version": 1}\n'
+    )
+
+    def test_instance_journal_header_mutate_snapshot(self, tmp_path):
+        instance = instance_from_dict(self.INSTANCE)
+        journal = InstanceJournal.create(
+            str(tmp_path), "inst-000000", instance_to_dict(instance)
+        )
+        mutation = mutation_from_dict(
+            {"op": "capacity_change", "event_id": 0, "capacity": 1}, "test"
+        )
+        apply_mutation(instance, mutation)
+        assert journal.append_mutations(
+            [mutation_to_dict(mutation)], 0, instance.version
+        )
+        with open(journal.path, "rb") as handle:
+            assert handle.read() == self.HEADER + self.MUTATE
+        assert journal.compact(instance_to_dict(instance), 0, instance.version)
+        journal.close()
+        with open(journal.path, "rb") as handle:
+            assert handle.read() == self.SNAPSHOT
+        assert replay_journal(journal.path).instance.version == 1
+
+    def test_sweep_journal_header_cell(self, tmp_path):
+        path = tmp_path / "sweep.jsonl"
+        with _open(path, algorithms=("DeDPO",), num_points=1) as journal:
+            journal.record(
+                (0, "DeDPO"),
+                {"solver": "DeDPO", "utility": 0.5, "time_s": 0.25},
+            )
+        assert path.read_bytes() == (
+            b'{"algorithms": ["DeDPO"], "axis": "num_events", "kind": '
+            b'"header", "num_points": 1, "version": 1}\n'
+            b'{"kind": "cell", "point": 0, "row": {"solver": "DeDPO", '
+            b'"time_s": 0.25, "utility": 0.5}, "solver": "DeDPO"}\n'
+        )
+
+
+class TestSweepDiskFaults:
+    """A disk fault on a sweep's record fails the sweep, never the
+    journal: what is on disk still replays, and a resumed run ends with
+    the journal a run without the fault writes."""
+
+    ALGORITHMS = ["DeDPO", "DeGreedy"]
+
+    @pytest.fixture(autouse=True)
+    def _disarm(self):
+        yield
+        faults.install_disk(None)
+
+    @staticmethod
+    def _points():
+        return [
+            SweepPoint(axis_value=seed, build=lambda seed=seed: generate_instance(
+                SyntheticConfig(num_events=6, num_users=12, mean_capacity=3,
+                                grid_size=15, seed=seed)
+            ))
+            for seed in range(2)
+        ]
+
+    def _sweep(self, path, resume=False):
+        return run_sweep("seed", self._points(), self.ALGORITHMS,
+                         measure_memory=False, journal=str(path),
+                         resume=resume)
+
+    @pytest.mark.parametrize("kind", faults.DISK_FAULT_KINDS)
+    @pytest.mark.parametrize("cell", [1, 3])
+    def test_fault_at_a_cell_record_then_resume(self, tmp_path, kind, cell):
+        clean = tmp_path / "clean.jsonl"
+        self._sweep(clean)
+        path = tmp_path / "faulted.jsonl"
+        # Write 0 is the header; write ``cell`` is the cell-th record.
+        faults.install_disk(faults.DiskFaultSpec(kind, after_writes=cell))
+        with pytest.raises(OSError, match="injected"):
+            self._sweep(path)
+        faults.install_disk(None)
+        kept = load_rows(str(path))
+        # fsync EIO leaves the record's bytes behind; the others do not.
+        assert len(kept) == (cell if kind == "disk-eio" else cell - 1)
+        result = self._sweep(path, resume=True)
+        assert sum(row["resumed"] for row in result.rows) == len(kept)
+        assert canonical_bytes(str(path)) == canonical_bytes(str(clean))
+
+    @pytest.mark.parametrize("kind", faults.DISK_FAULT_KINDS)
+    def test_fault_at_the_header_leaves_no_file(self, tmp_path, kind):
+        path = tmp_path / "sweep.jsonl"
+        faults.install_disk(faults.DiskFaultSpec(kind, attempts=1))
+        with pytest.raises(OSError, match="injected"):
+            _open(path)
+        assert not path.exists()
+        with _open(path) as journal:  # the next run starts afresh
+            journal.record((0, "DeDPO"), {"solver": "DeDPO"})
+        assert len(load_rows(str(path))) == 1
